@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dynamics import Mode
+from .dynamics import KernelParams, Mode
 from .errors import ConfigurationError
 
 _MODE_NAMES = {"equality": Mode.EQUALITY, "hierarchy": Mode.HIERARCHY}
@@ -57,8 +57,8 @@ class SimConfig:
             raise ConfigurationError(f"M must be >= 1, got {self.M}")
         if not 0 <= self.seed <= _MAX_SEED:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
-        if not 0.0 <= self.p_copy <= 1.0:
-            raise ConfigurationError(f"p_copy must lie in [0, 1], got {self.p_copy}")
+        # the kernel rates' own checks live in KernelParams; only the K-dependent ones stay here
+        KernelParams(self.p_copy, self.leader_pupils, self.shop_teach_rate)
         if not 0.0 <= self.p_unknown <= 1.0:
             raise ConfigurationError(
                 f"p_unknown must lie in [0, 1], got {self.p_unknown}"
@@ -67,9 +67,9 @@ class SimConfig:
             raise ConfigurationError(
                 f"leader_count must lie in [0, K), got {self.leader_count}"
             )
-        if not 0 <= self.leader_pupils <= self.K - 1:
+        if self.leader_pupils > self.K - 1:
             raise ConfigurationError(
-                f"leader_pupils must lie in [0, K-1], got {self.leader_pupils}"
+                f"leader_pupils must be at most K-1, got {self.leader_pupils}"
             )
         if self.leader_count > 0 and self.leader_pupils > self.K - self.leader_count:
             raise ConfigurationError(
@@ -93,10 +93,6 @@ class SimConfig:
                 )
             if any(s < 1 for s in counts):
                 raise ConfigurationError("shop_counts entries must be >= 1")
-        if not self.shop_teach_rate >= 0.0:
-            raise ConfigurationError(
-                f"shop_teach_rate must be >= 0, got {self.shop_teach_rate}"
-            )
         if not self.epsilon > 0.0:
             raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_sweeps < 1:

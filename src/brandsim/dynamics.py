@@ -31,6 +31,7 @@ Consumption per operation:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,9 +69,9 @@ class KernelParams:
             raise ConfigurationError(
                 f"leader_pupils must be >= 0, got {self.leader_pupils}"
             )
-        if not self.shop_teach_rate >= 0.0:
+        if not 0.0 <= self.shop_teach_rate < math.inf:
             raise ConfigurationError(
-                f"shop_teach_rate must be >= 0, got {self.shop_teach_rate}"
+                f"shop_teach_rate must be finite and >= 0, got {self.shop_teach_rate}"
             )
 
 
@@ -84,25 +85,57 @@ class PairEvent(NamedTuple):
     copied: bool
 
 
-def _copy_slot(
-    learner_values: np.ndarray,
-    source_values: np.ndarray,
+def _flat_slots(schema: NeedSchema, u_need: np.ndarray, u_slot: np.ndarray) -> np.ndarray:
+    """Each event's flat slot, drawn need-first as ``index_from_uniform`` does."""
+    M = schema.num_needs
+    need = np.minimum((u_need * M).astype(np.int64), M - 1)
+    jm = np.asarray(schema.jmax, dtype=np.int64)[need]
+    slot = np.minimum((u_slot * jm).astype(np.int64), jm - 1)
+    return np.asarray(schema.offsets, dtype=np.int64)[need] + slot
+
+
+def _apply_copies(
+    dst: np.ndarray, src: np.ndarray, dst_idx: np.ndarray, src_idx: np.ndarray
+) -> np.ndarray:
+    """Copy ``src[src_idx[i]]`` into ``dst[dst_idx[i]]`` for every event ``i``, in order.
+
+    The one place a wish slot is written.  Events run one at a time, so an
+    event reads its source cell after every earlier event's write (``dst``
+    and ``src`` may share storage), and the last write to a cell wins.  An
+    unknown (0) value never transmits.  Returns the positions of the events
+    that copied.
+    """
+    copied = []
+    for i, (d, s) in enumerate(zip(dst_idx.tolist(), src_idx.tolist())):
+        v = src[s]
+        if v != 0.0:
+            dst[d] = v
+            copied.append(i)
+    return np.array(copied, dtype=np.int64)
+
+
+def _copy_rows(
+    dst: np.ndarray,
+    src: np.ndarray,
+    learner: np.ndarray,
+    source: np.ndarray,
+    u: np.ndarray,
+    p: float | np.ndarray,
     schema: NeedSchema,
-    u_need: float,
-    u_slot: float,
-    u_coin: float,
-    p: float,
-) -> tuple[int, bool]:
-    """Apply one copy event given its three uniforms; returns (flat slot, copied)."""
-    need = index_from_uniform(u_need, schema.num_needs)
-    jm = schema.jmax[need]
-    slot = index_from_uniform(u_slot, jm)
-    flat = schema.offsets[need] + slot
-    v = source_values[flat]
-    if v != 0.0 and u_coin < p:
-        learner_values[flat] = v
-        return flat, True
-    return flat, False
+) -> np.ndarray:
+    """Slot-copy events from row ``source[i]`` of ``src`` to row ``learner[i]`` of ``dst``.
+
+    ``u`` holds each event's (need, slot, coin) uniforms; an event copies
+    only if its coin is below ``p`` (a scalar or one value per event).  The
+    coins do not depend on the state, so only events that pass one reach
+    :func:`_apply_copies`.  Returns the positions of the events that copied.
+    """
+    hit = np.flatnonzero(u[:, 2] < p)
+    flat = _flat_slots(schema, u[hit, 0], u[hit, 1])
+    S = schema.total_slots
+    dst_idx = learner[hit] * S + flat
+    src_idx = source[hit] * S + flat
+    return hit[_apply_copies(dst.reshape(-1), src.reshape(-1), dst_idx, src_idx)]
 
 
 def copy_entry(
@@ -121,9 +154,9 @@ def copy_entry(
     src = source.values if isinstance(source, WishProfile) else np.asarray(source, dtype=np.float64)
     if src.shape != learner.values.shape:
         raise ValueError(f"profile shapes differ: {learner.values.shape} vs {src.shape}")
-    u = rng.random(3)
-    _, copied = _copy_slot(learner.values, src, learner.schema, u[0], u[1], u[2], p)
-    return learner, copied
+    row = np.zeros(1, dtype=np.int64)
+    copied = _copy_rows(learner.values, src, row, row, rng.random((1, 3)), p, learner.schema)
+    return learner, len(copied) > 0
 
 
 def _run_pair_events(
@@ -138,62 +171,31 @@ def _run_pair_events(
     Shared by ``pair_step`` (one event) and ``sweep`` (K events) so both
     consume the stream identically.
     """
-    schema = pop.schema
-    wish_flat = pop.wish_matrix.reshape(-1)
-    ranks = pop._ranks_list
     K = pop.num_customers
-    M = schema.num_needs
-    S = schema.total_slots
-    jmax = schema.jmax
-    offsets = schema.offsets
-    p_copy = params.p_copy
-    hierarchical = mode is Mode.HIERARCHY
-    uu = u.tolist()
-    n_events = len(uu) // 5
-    K1 = K - 1
-    copies = 0
-    i = 0
-    for _ in range(n_events):
-        ua = uu[i]
-        ub = uu[i + 1]
-        un = uu[i + 2]
-        us = uu[i + 3]
-        uc = uu[i + 4]
-        i += 5
-        a = int(ua * K)
-        if a > K1:
-            a = K1
-        b = int(ub * K1)
-        if b >= K1:
-            b = K1 - 1
-        if b >= a:
-            b += 1
-        if hierarchical:
-            ra = ranks[a]
-            rb = ranks[b]
-            if ra < rb:
-                learner, source, p = a, b, p_copy * (rb - ra)
-            else:
-                learner, source, p = b, a, p_copy * (ra - rb)
-        else:
-            learner, source, p = a, b, p_copy
-        need = int(un * M)
-        if need >= M:
-            need = M - 1
-        jm = jmax[need]
-        slot = int(us * jm)
-        if slot >= jm:
-            slot = jm - 1
-        flat = offsets[need] + slot
-        v = wish_flat[source * S + flat]
-        copied = False
-        if v != 0.0 and uc < p:
-            wish_flat[learner * S + flat] = v
-            copied = True
-            copies += 1
-        if event_log is not None:
-            event_log.append(PairEvent(a, b, learner, source, copied))
-    return copies
+    u = u.reshape(-1, 5)
+    a = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
+    b = np.minimum((u[:, 1] * (K - 1)).astype(np.int64), K - 2)
+    b += b >= a  # the partner is one of the K-1 others
+    if mode is Mode.HIERARCHY:
+        ra = pop.ranks[a]
+        rb = pop.ranks[b]
+        lower = ra < rb
+        learner = np.where(lower, a, b)
+        source = np.where(lower, b, a)
+        # ra - rb is exactly -(rb - ra), so this is the rank gap either way round
+        p = params.p_copy * np.abs(rb - ra)
+    else:
+        learner, source, p = a, b, params.p_copy
+    wish = pop.wish_matrix
+    done = _copy_rows(wish, wish, learner, source, u[:, 2:], p, pop.schema)
+    if event_log is not None:
+        copied = np.zeros(len(a), dtype=bool)
+        copied[done] = True
+        event_log.extend(
+            map(PairEvent._make, zip(a.tolist(), b.tolist(), learner.tolist(),
+                                     source.tolist(), copied.tolist()))
+        )
+    return len(done)
 
 
 def pair_step(
@@ -236,34 +238,20 @@ def leader_step(
         raise ConfigurationError(
             f"leader_pupils={pupils} exceeds the {len(non_leaders)} non-leaders"
         )
-    schema = pop.schema
-    wish = pop.wish_matrix
-    p_copy = params.p_copy
-    copies = 0
+    pupil_ids, teacher_ids, teach_u = [], [], []
     for leader in leaders:
         select_u = rng.random(pupils).tolist()
         pool = list(non_leaders)
-        chosen = []
         n_pool = len(pool)
         for step, u in enumerate(select_u):
             pick = step + index_from_uniform(u, n_pool - step)
             pool[step], pool[pick] = pool[pick], pool[step]
-            chosen.append(pool[step])
-        teach_u = rng.random(3 * len(chosen))
-        leader_values = wish[leader]
-        for idx, pupil in enumerate(chosen):
-            o = 3 * idx
-            _, copied = _copy_slot(
-                wish[pupil],
-                leader_values,
-                schema,
-                teach_u[o],
-                teach_u[o + 1],
-                teach_u[o + 2],
-                p_copy,
-            )
-            copies += copied
-    return copies
+        pupil_ids.extend(pool[:pupils])
+        teacher_ids.extend([leader] * pupils)
+        teach_u.append(rng.random(3 * pupils))
+    wish = pop.wish_matrix
+    return len(_copy_rows(wish, wish, np.array(pupil_ids), np.array(teacher_ids),
+                          np.concatenate(teach_u).reshape(-1, 3), params.p_copy, pop.schema))
 
 
 def shop_event_count(shop_teach_rate: float, shop_count: int) -> int:
@@ -286,25 +274,19 @@ def shop_step(
     rate = params.shop_teach_rate
     if rate == 0.0:
         return 0
-    schema = pop.schema
-    wish = pop.wish_matrix
-    K = pop.num_customers
-    p_copy = params.p_copy
-    copies = 0
-    for brand in pop.brands:
+    brand_ids, draws = [], []
+    for b, brand in enumerate(pop.brands):
         n_events = shop_event_count(rate, brand.shop_count)
-        if n_events <= 0:
-            continue
-        u = rng.random(4 * n_events)
-        src = brand.assortment.values
-        for e in range(n_events):
-            o = 4 * e
-            customer = index_from_uniform(u[o], K)
-            _, copied = _copy_slot(
-                wish[customer], src, schema, u[o + 1], u[o + 2], u[o + 3], p_copy
-            )
-            copies += copied
-    return copies
+        if n_events > 0:
+            brand_ids.append(np.full(n_events, b))
+            draws.append(rng.random(4 * n_events))
+    if not draws:
+        return 0
+    u = np.concatenate(draws).reshape(-1, 4)
+    K = pop.num_customers
+    customers = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
+    return len(_copy_rows(pop.wish_matrix, pop.assortment_matrix, customers,
+                          np.concatenate(brand_ids), u[:, 1:], params.p_copy, pop.schema))
 
 
 def sweep(

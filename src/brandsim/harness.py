@@ -11,6 +11,7 @@ can reproduce them.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -116,10 +117,12 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
         dataclasses.replace(cfg, seed=derive_child_seed(cfg.seed, i))
         for i in range(runs)
     ]
-    if parallel <= 1:
+    # a pool may start all its workers at once, so ask for no more than can be busy
+    workers = min(parallel, runs, os.cpu_count() or 1)
+    if workers <= 1:
         stats = [_run_stats(child) for child in children]
     else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(_run_stats, children))
     converged = [(at, dom) for at, dom in stats if at is not None]
     histogram = [0.0] * cfg.N

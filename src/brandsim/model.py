@@ -167,10 +167,13 @@ class BrandProfile:
 class Population:
     """Every customer and brand under one schema, plus the sweep counter.
 
-    The ``wish_matrix`` (K x S) and ``assortment_matrix`` (N x S) arrays are
-    the storage of record; each :class:`Customer` and :class:`BrandProfile`
-    wraps a row view of them.  Ranks and the leader set are fixed for the
-    lifetime of the population; affiliations are refreshed after every sweep.
+    The ``wish_matrix`` (K x S), ``assortment_matrix`` (N x S), ``ranks`` and
+    ``affiliations`` arrays are the storage of record for customers; the
+    :class:`Customer` records of ``customers`` are built from them on access.
+    Each :class:`BrandProfile` in ``brands`` wraps a row view of the
+    assortment matrix and holds the brand's shop count.  Ranks and the
+    leader set are fixed for the lifetime of the population; affiliations
+    are refreshed after every sweep.
     """
 
     def __init__(
@@ -220,21 +223,13 @@ class Population:
         self.wish_matrix = wish
         self.assortment_matrix = assort
         self.ranks = rank_arr
-        self.shop_counts = counts
-        self.customers = [
-            Customer(k, WishProfile(wish[k], schema), float(rank_arr[k]), 0)
-            for k in range(K)
-        ]
         self.brands = [
             BrandProfile(b, WishProfile(assort[b], schema), counts[b]) for b in range(N)
         ]
         self.leader_ids = tuple(int(k) for k in np.flatnonzero(rank_arr == 1.0))
         leader_set = set(self.leader_ids)
         self.non_leader_ids = tuple(k for k in range(K) if k not in leader_set)
-        # plain-float copy for the event loop; ranks never change after init
-        self._ranks_list = rank_arr.tolist()
-        self.affiliations = np.zeros(K, dtype=np.int64)
-        refresh_affiliations(self)
+        self.affiliations = _nearest_brand(wish, assort)
 
     @property
     def num_customers(self) -> int:
@@ -243,6 +238,20 @@ class Population:
     @property
     def num_brands(self) -> int:
         return self.assortment_matrix.shape[0]
+
+    @property
+    def shop_counts(self) -> tuple[int, ...]:
+        return tuple(brand.shop_count for brand in self.brands)
+
+    @property
+    def customers(self) -> list[Customer]:
+        """One record per customer; ``wish`` is a live view of its matrix row."""
+        return [
+            Customer(k, WishProfile(row, self.schema), rank, aff)
+            for k, (row, rank, aff) in enumerate(
+                zip(self.wish_matrix, self.ranks.tolist(), self.affiliations.tolist())
+            )
+        ]
 
     def clone(self) -> "Population":
         return Population(
@@ -289,6 +298,11 @@ def distance(wish, assortment) -> float:
     return float(np.mean(d * d))
 
 
+def _nearest_brand(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
+    """Per wish row, the index of the nearest assortment row (ties to the smallest)."""
+    return cdist(wish, assortment, "sqeuclidean").argmin(axis=1)
+
+
 def assign_brand(customer: Customer, brands: Sequence[BrandProfile]) -> int:
     """Index of the brand whose assortment is nearest to the customer's wish.
 
@@ -296,23 +310,13 @@ def assign_brand(customer: Customer, brands: Sequence[BrandProfile]) -> int:
     """
     if len(brands) == 0:
         raise ConfigurationError("assign_brand requires at least one brand")
-    best = 0
-    best_d = distance(customer.wish, brands[0].assortment)
-    for idx in range(1, len(brands)):
-        d = distance(customer.wish, brands[idx].assortment)
-        if d < best_d:
-            best = idx
-            best_d = d
-    return best
+    assortment = np.array([brand.assortment.values for brand in brands])
+    return int(_nearest_brand(customer.wish.values[np.newaxis], assortment)[0])
 
 
 def refresh_affiliations(pop: Population) -> None:
     """Recompute every customer's nearest brand (ties to the smallest index)."""
-    dists = cdist(pop.wish_matrix, pop.assortment_matrix, "sqeuclidean")
-    aff = dists.argmin(axis=1)
-    pop.affiliations[:] = aff
-    for customer, b in zip(pop.customers, aff.tolist()):
-        customer.affiliation = b
+    pop.affiliations[:] = _nearest_brand(pop.wish_matrix, pop.assortment_matrix)
 
 
 def init_schema(num_needs: int, rng: np.random.Generator) -> NeedSchema:

@@ -46,6 +46,7 @@ class TestSimConfig:
             ("aligned_leader_brand", 2),
             ("aligned_leader_brand", -1),
             ("shop_teach_rate", -1.0),
+            ("shop_teach_rate", float("inf")),
             ("epsilon", 0.0),
             ("max_sweeps", 0),
             ("record_every", 0),

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from brandsim import (
     ConfigurationError,
@@ -10,6 +13,7 @@ from brandsim import (
     WishProfile,
     copy_entry,
     distance,
+    index_from_uniform,
     leader_step,
     pair_step,
     shop_event_count,
@@ -41,6 +45,12 @@ class TestKernelParams:
             KernelParams(p_copy=0.5, leader_pupils=-1)
         with pytest.raises(ConfigurationError):
             KernelParams(p_copy=0.5, shop_teach_rate=-0.5)
+
+    def test_rejects_non_finite_shop_rate(self):
+        for rate in (float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError) as exc:
+                KernelParams(p_copy=0.5, shop_teach_rate=rate)
+            assert "shop_teach_rate" in str(exc.value)
 
 
 class TestCopyEntry:
@@ -363,3 +373,178 @@ class TestSweep:
                 pop.wish_matrix[ev.learner], pop.wish_matrix[ev.source]
             )
             assert d_after <= d_before
+
+
+# --- scalar reference: one event at a time, in stream order -----------------
+
+
+def ref_copy_slot(learner_values, source_values, schema, u_need, u_slot, u_coin, p):
+    need = index_from_uniform(u_need, schema.num_needs)
+    jm = schema.jmax[need]
+    slot = index_from_uniform(u_slot, jm)
+    flat = schema.offsets[need] + slot
+    v = source_values[flat]
+    if v != 0.0 and u_coin < p:
+        learner_values[flat] = v
+        return True
+    return False
+
+
+def ref_pair_events(pop, mode, params, u):
+    schema = pop.schema
+    wish_flat = pop.wish_matrix.reshape(-1)
+    ranks = pop.ranks.tolist()
+    K = pop.num_customers
+    M = schema.num_needs
+    S = schema.total_slots
+    uu = u.tolist()
+    K1 = K - 1
+    copies = 0
+    for i in range(0, len(uu) // 5 * 5, 5):
+        ua, ub, un, us, uc = uu[i : i + 5]
+        a = int(ua * K)
+        if a > K1:
+            a = K1
+        b = int(ub * K1)
+        if b >= K1:
+            b = K1 - 1
+        if b >= a:
+            b += 1
+        if mode is Mode.HIERARCHY:
+            ra = ranks[a]
+            rb = ranks[b]
+            if ra < rb:
+                learner, source, p = a, b, params.p_copy * (rb - ra)
+            else:
+                learner, source, p = b, a, params.p_copy * (ra - rb)
+        else:
+            learner, source, p = a, b, params.p_copy
+        need = int(un * M)
+        if need >= M:
+            need = M - 1
+        jm = schema.jmax[need]
+        slot = int(us * jm)
+        if slot >= jm:
+            slot = jm - 1
+        flat = schema.offsets[need] + slot
+        v = wish_flat[source * S + flat]
+        if v != 0.0 and uc < p:
+            wish_flat[learner * S + flat] = v
+            copies += 1
+    return copies
+
+
+def ref_leader_step(pop, params, rng):
+    pupils = params.leader_pupils
+    leaders = pop.leader_ids
+    if not leaders or pupils == 0:
+        return 0
+    non_leaders = pop.non_leader_ids
+    wish = pop.wish_matrix
+    copies = 0
+    for leader in leaders:
+        select_u = rng.random(pupils).tolist()
+        pool = list(non_leaders)
+        chosen = []
+        n_pool = len(pool)
+        for step, u in enumerate(select_u):
+            pick = step + index_from_uniform(u, n_pool - step)
+            pool[step], pool[pick] = pool[pick], pool[step]
+            chosen.append(pool[step])
+        teach_u = rng.random(3 * len(chosen))
+        for idx, pupil in enumerate(chosen):
+            o = 3 * idx
+            copies += ref_copy_slot(
+                wish[pupil], wish[leader], pop.schema,
+                teach_u[o], teach_u[o + 1], teach_u[o + 2], params.p_copy,
+            )
+    return copies
+
+
+def ref_shop_step(pop, params, rng):
+    rate = params.shop_teach_rate
+    if rate == 0.0:
+        return 0
+    wish = pop.wish_matrix
+    K = pop.num_customers
+    copies = 0
+    for b, count in enumerate(pop.shop_counts):
+        n_events = shop_event_count(rate, count)
+        if n_events <= 0:
+            continue
+        u = rng.random(4 * n_events)
+        src = pop.assortment_matrix[b]
+        for o in range(0, 4 * n_events, 4):
+            customer = index_from_uniform(u[o], K)
+            copies += ref_copy_slot(
+                wish[customer], src, pop.schema, u[o + 1], u[o + 2], u[o + 3], params.p_copy
+            )
+    return copies
+
+
+def ref_sweep(pop, mode, params, rng):
+    """One reference sweep; returns the number of pair copies."""
+    pair_copies = ref_pair_events(pop, mode, params, rng.random(5 * pop.num_customers))
+    ref_leader_step(pop, params, rng)
+    ref_shop_step(pop, params, rng)
+    pop.affiliations[:] = cdist(pop.wish_matrix, pop.assortment_matrix, "sqeuclidean").argmin(1)
+    pop.t += 1
+    return pair_copies
+
+
+@st.composite
+def kernel_cases(draw):
+    K = draw(st.integers(2, 9))
+    N = draw(st.integers(1, 4))
+    jmax = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    n_leaders = draw(st.integers(0, min(3, K - 1)))
+    pupils = draw(st.integers(0, K - n_leaders)) if n_leaders else 0
+    return dict(
+        K=K,
+        jmax=jmax,
+        n_leaders=n_leaders,
+        coarse_ranks=draw(st.booleans()),
+        p_unknown=draw(st.sampled_from([0.0, 0.9])),
+        shop_counts=tuple(draw(st.lists(st.integers(1, 5), min_size=N, max_size=N))),
+        params=KernelParams(
+            p_copy=draw(st.floats(0.0, 1.0)),
+            leader_pupils=pupils,
+            shop_teach_rate=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])),
+        ),
+        mode=draw(st.sampled_from(list(Mode))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        sweeps=draw(st.integers(1, 4)),
+    )
+
+
+def case_population(case):
+    rng = np.random.default_rng(case["seed"])
+    schema = NeedSchema(case["jmax"])
+    K, S = case["K"], schema.total_slots
+    wish = 1.0 - rng.random((K, S))
+    wish[rng.random((K, S)) < case["p_unknown"]] = 0.0
+    ranks = rng.random(K)
+    if case["coarse_ranks"]:
+        ranks = np.floor(ranks * 3) / 3  # many equal ranks, so zero rank gaps
+    ranks[: case["n_leaders"]] = 1.0
+    assort = 1.0 - rng.random((len(case["shop_counts"]), S))
+    return Population(schema, wish, ranks, assort, case["shop_counts"])
+
+
+class TestSweepMatchesScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_bitwise_equal_to_reference(self, case):
+        pop = case_population(case)
+        ref = pop.clone()
+        rng = np.random.default_rng(case["seed"] + 1)
+        ref_rng = np.random.default_rng(case["seed"] + 1)
+        for _ in range(case["sweeps"]):
+            log = []
+            sweep(pop, case["mode"], case["params"], rng, event_log=log)
+            pair_copies = ref_sweep(ref, case["mode"], case["params"], ref_rng)
+            assert sum(e.copied for e in log) == pair_copies
+        assert pop.wish_matrix.tobytes() == ref.wish_matrix.tobytes()
+        assert np.array_equal(pop.affiliations, ref.affiliations)
+        assert pop.t == ref.t
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import brandsim.harness as harness
 from brandsim import (
     ConfigurationError,
     EnsembleSummary,
@@ -150,6 +151,17 @@ class TestEnsemble:
         serial = ensemble(c, 4, parallel=1)
         parallel = ensemble(c, 4, parallel=2)
         assert serial == parallel
+
+    def test_pool_not_started_for_a_single_run(self, monkeypatch):
+        # a pool cannot keep more workers busy than there are runs
+        c = cfg(K=8, M=2, max_sweeps=300)
+        serial = ensemble(c, 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("ensemble started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert ensemble(c, 1, parallel=8) == serial
 
     def test_histogram_sums_to_one_over_converged(self):
         c = cfg(K=6, M=1, max_sweeps=8000, seed=13)
