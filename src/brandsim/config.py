@@ -197,5 +197,10 @@ def parse_config_text(text: str) -> SimConfig:
 
 def load_config(path) -> SimConfig:
     """Read and validate a config file; missing files raise the usual OSError."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     return parse_config_text(text)

@@ -94,24 +94,80 @@ def _flat_slots(schema: NeedSchema, u_need: np.ndarray, u_slot: np.ndarray) -> n
     return np.asarray(schema.offsets, dtype=np.int64)[need] + slot
 
 
+_MIN_BATCH = 256
+
+
 def _apply_copies(
     dst: np.ndarray, src: np.ndarray, dst_idx: np.ndarray, src_idx: np.ndarray
 ) -> np.ndarray:
     """Copy ``src[src_idx[i]]`` into ``dst[dst_idx[i]]`` for every event ``i``, in order.
 
-    The one place a wish slot is written.  Events run one at a time, so an
-    event reads its source cell after every earlier event's write (``dst``
-    and ``src`` may share storage), and the last write to a cell wins.  An
-    unknown (0) value never transmits.  Returns the positions of the events
-    that copied.
+    The one place a wish slot is written.  The result is that of running the
+    events one at a time: an event reads its source cell after every earlier
+    event's write, and the last write to a cell wins.  ``dst`` and ``src`` are
+    flat and either the same array or disjoint.  An unknown (0) value never
+    transmits.  Returns the positions of the events that copied.
+
+    Batches of fewer than ``_MIN_BATCH`` events run that sequential loop.
+    Larger ones take a numpy path with the same result bit for bit, whose
+    temporaries all have one entry per event.  Its fixed cost is about
+    80 µs, so small batches lose: on pair batches (2-vCPU Xeon) the loop
+    took 69-71 µs at 128 events against 80-82 µs, and 130 µs at 256 against
+    92-96 µs; at 512 events the numpy path is 2x faster and at 2·10⁴ 5x.
+    The crossover moves with host noise between about 150 and 250 events,
+    and 256 keeps the 50-event pair batches of K=50 runs on the loop.
+
+    The numpy path reads every source before the batch, then repairs the
+    reads of a cell that an earlier event of the batch wrote (hazards,
+    possible only when ``src`` is ``dst``).  Each round of a forward fill
+    over the writes, sorted by (cell, event), gives every hazard the value
+    of the last copying write to its cell before it, or else the value
+    before the batch.  Dependencies point strictly backward, so the rounds
+    stop at the unique fixed point.  Each cell then takes its last copying
+    write; numpy's order of repeated fancy writes is never relied on.
     """
-    copied = []
-    for i, (d, s) in enumerate(zip(dst_idx.tolist(), src_idx.tolist())):
-        v = src[s]
-        if v != 0.0:
-            dst[d] = v
-            copied.append(i)
-    return np.array(copied, dtype=np.int64)
+    n = len(dst_idx)
+    if n < _MIN_BATCH:
+        copied = []
+        for i, (d, s) in enumerate(zip(dst_idx.tolist(), src_idx.tolist())):
+            v = src[s]
+            if v != 0.0:
+                dst[d] = v
+                copied.append(i)
+        return np.array(copied, dtype=np.int64)
+    events = np.arange(n)
+    val = src[src_idx]
+    # the event is the key's remainder, so a plain sort orders writes by (cell, event)
+    key = np.sort(dst_idx * n + events)
+    cell, order = np.divmod(key, n)
+    w = val[order]  # the value each sorted write carries; 0 means no copy
+    if np.shares_memory(dst, src):
+        rcell, reader = np.divmod(np.sort(src_idx * n + events), n)
+        # the last write to the read's cell by an earlier event, if any
+        pos = np.searchsorted(key, rcell * n + reader) - 1
+        hit = (pos >= 0) & (cell[pos] == rcell)
+        reader, pos, rcell = reader[hit], pos[hit], rcell[hit]
+        if len(reader):
+            before = val[reader]
+            own = np.empty(n, dtype=np.int64)
+            own[order] = events
+            own = own[reader]  # where each hazard's own write sits
+            last = np.where(w != 0.0, events, -1)
+            while True:
+                lc = np.maximum.accumulate(last)[pos]
+                new = np.where((lc >= 0) & (cell[lc] == rcell), w[lc], before)
+                # bitwise, so a NaN value cannot keep the rounds going
+                if np.array_equal(new.view(np.int64), w[own].view(np.int64)):
+                    break
+                w[own] = new
+                last[own] = np.where(new != 0.0, own, -1)
+            val[reader] = new
+    copies = np.flatnonzero(w != 0.0)
+    c = cell[copies]
+    end = np.ones(len(c), dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=end[:-1])
+    dst[c[end]] = w[copies[end]]
+    return np.flatnonzero(val != 0.0)
 
 
 def _copy_rows(

@@ -25,3 +25,12 @@ def test_run_rejects_infinite_shop_rate(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "shop_teach_rate" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "sim.cfg"
+    path.write_bytes(TINY.encode("utf-8") + b"# \xff\n")
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

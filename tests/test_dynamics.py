@@ -20,6 +20,7 @@ from brandsim import (
     shop_step,
     sweep,
 )
+from brandsim.dynamics import _MIN_BATCH, _apply_copies
 
 
 def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None):
@@ -390,6 +391,17 @@ def ref_copy_slot(learner_values, source_values, schema, u_need, u_slot, u_coin,
     return False
 
 
+def ref_apply_copies(dst, src, dst_idx, src_idx):
+    """The sequential writer: one event at a time, each read after every earlier write."""
+    copied = []
+    for i, (d, s) in enumerate(zip(dst_idx.tolist(), src_idx.tolist())):
+        v = src[s]
+        if v != 0.0:
+            dst[d] = v
+            copied.append(i)
+    return np.array(copied, dtype=np.int64)
+
+
 def ref_pair_events(pop, mode, params, u):
     schema = pop.schema
     wish_flat = pop.wish_matrix.reshape(-1)
@@ -547,4 +559,86 @@ class TestSweepMatchesScalarReference:
         assert pop.wish_matrix.tobytes() == ref.wish_matrix.tobytes()
         assert np.array_equal(pop.affiliations, ref.affiliations)
         assert pop.t == ref.t
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def batch_cases(draw):
+    """Sweeps whose leader and shop channels each send ``_MIN_BATCH`` or more events.
+
+    ``p_copy`` is 1, so no coin drops an event: an equality sweep's pair
+    batch has K events, the leader batch ``n_leaders * leader_pupils`` and
+    the shop batch the sum of the brands' event counts.  Hierarchy pair
+    batches are gated by rank gaps and hold about K/3 events.
+    """
+    K = draw(st.integers(_MIN_BATCH, 600))
+    N = draw(st.integers(1, 4))
+    n_leaders = draw(st.integers(2, 3))
+    shop_counts = tuple(draw(st.lists(st.integers(1, 5), min_size=N, max_size=N)))
+    return dict(
+        K=K,
+        jmax=tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))),
+        n_leaders=n_leaders,
+        coarse_ranks=draw(st.booleans()),
+        p_unknown=draw(st.sampled_from([0.0, 0.9])),
+        shop_counts=shop_counts,
+        params=KernelParams(
+            p_copy=1.0,
+            leader_pupils=draw(st.integers(-(-_MIN_BATCH // n_leaders), K - n_leaders)),
+            # per-brand rounding loses at most N/2 events
+            shop_teach_rate=draw(st.floats(_MIN_BATCH + 2, 400)) / sum(shop_counts),
+        ),
+        mode=draw(st.sampled_from(list(Mode))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        sweeps=draw(st.integers(1, 2)),
+    )
+
+
+class TestBatchedApplier:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, _MIN_BATCH - 1), st.integers(_MIN_BATCH, 4 * _MIN_BATCH)),
+        cells_per_event=st.floats(1.0, 3.0),
+        p_zero=st.sampled_from([0.0, 0.3, 0.9]),
+        specials=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_loop(self, n, cells_per_event, p_zero, specials, shared, seed):
+        # n to 3n cells, so many reads hit a cell an earlier event wrote
+        rng = np.random.default_rng(seed)
+        cells = int(n * cells_per_event)
+        values = 1.0 - rng.random((2, cells))
+        values[rng.random((2, cells)) < p_zero] = 0.0
+        if specials:
+            values[rng.random((2, cells)) < 0.05] = -0.0
+            values[rng.random((2, cells)) < 0.05] = np.nan
+        dst_idx = rng.integers(0, cells, n)
+        src_idx = rng.integers(0, cells, n)
+        dst, ref = values[0].copy(), values[0].copy()
+        src, ref_src = (dst, ref) if shared else (values[1], values[1].copy())
+        copied = _apply_copies(dst, src, dst_idx, src_idx)
+        ref_copied = ref_apply_copies(ref, ref_src, dst_idx, src_idx)
+        assert dst.tobytes() == ref.tobytes()
+        assert np.array_equal(copied, ref_copied)
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch_cases())
+    def test_sweeps_above_threshold_match_reference(self, case):
+        params = case["params"]
+        assert case["n_leaders"] * params.leader_pupils >= _MIN_BATCH
+        assert sum(
+            shop_event_count(params.shop_teach_rate, c) for c in case["shop_counts"]
+        ) >= _MIN_BATCH
+        pop = case_population(case)
+        ref = pop.clone()
+        rng = np.random.default_rng(case["seed"] + 1)
+        ref_rng = np.random.default_rng(case["seed"] + 1)
+        for _ in range(case["sweeps"]):
+            log = []
+            sweep(pop, case["mode"], params, rng, event_log=log)
+            pair_copies = ref_sweep(ref, case["mode"], params, ref_rng)
+            assert sum(e.copied for e in log) == pair_copies
+        assert pop.wish_matrix.tobytes() == ref.wish_matrix.tobytes()
+        assert np.array_equal(pop.affiliations, ref.affiliations)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
