@@ -9,10 +9,11 @@ unknown or duplicate keys are errors.  ``N``, ``K``, ``M``, ``mode`` and
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dynamics import KernelParams, Mode
+from .dynamics import KernelParams, Mode, shop_event_count
 from .errors import ConfigurationError
 
 _MODE_NAMES = {"equality": Mode.EQUALITY, "hierarchy": Mode.HIERARCHY}
@@ -93,6 +94,19 @@ class SimConfig:
                 )
             if any(s < 1 for s in counts):
                 raise ConfigurationError("shop_counts entries must be >= 1")
+        # a sweep draws its shop events' uniforms as one (events, 4) array
+        if self.shop_teach_rate > 0.0:
+            try:
+                shop_events = sum(
+                    shop_event_count(self.shop_teach_rate, s) for s in self.shop_counts
+                )
+            except OverflowError:  # the product left the float range
+                shop_events = sys.maxsize
+            if 4 * shop_events > sys.maxsize:
+                raise ConfigurationError(
+                    "shop_teach_rate * shop_counts asks for more shop events per "
+                    "sweep than one array can hold"
+                )
         if not self.epsilon > 0.0:
             raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_sweeps < 1:

@@ -9,8 +9,11 @@ Randomness discipline
 ---------------------
 Every stochastic choice consumes float64 uniforms from one generator stream
 in a fixed, documented order, so a run can be replayed slot by slot from the
-seed alone.  Bounded indices always come from ``index_from_uniform(u, n)``.
-Consumption per operation:
+seed alone.  A bounded index in [0, n) is ``floor(u * n)`` clamped to
+``n - 1``, the rule of :func:`brandsim.model.index_from_uniform`; every
+channel applies it to whole arrays of uniforms at once as
+``np.minimum((u * n).astype(np.int64), n - 1)``, which performs the same
+IEEE operations.  Consumption per operation:
 
 * ``copy_entry``: 3 uniforms (need pick, slot pick, acceptance coin), all
   consumed even when the event is a no-op.
@@ -42,7 +45,6 @@ from .model import (
     NeedSchema,
     Population,
     WishProfile,
-    index_from_uniform,
     refresh_affiliations,
 )
 
@@ -294,20 +296,20 @@ def leader_step(
         raise ConfigurationError(
             f"leader_pupils={pupils} exceeds the {len(non_leaders)} non-leaders"
         )
-    pupil_ids, teacher_ids, teach_u = [], [], []
-    for leader in leaders:
-        select_u = rng.random(pupils).tolist()
+    # each leader's row: its selection uniforms, then its teaching triples
+    u = rng.random((len(leaders), 4 * pupils))
+    steps = np.arange(pupils)
+    room = len(non_leaders) - steps
+    picks = steps + np.minimum((u[:, :pupils] * room).astype(np.int64), room - 1)
+    pupil_ids = []
+    for row in picks.tolist():
         pool = list(non_leaders)
-        n_pool = len(pool)
-        for step, u in enumerate(select_u):
-            pick = step + index_from_uniform(u, n_pool - step)
+        for step, pick in enumerate(row):
             pool[step], pool[pick] = pool[pick], pool[step]
         pupil_ids.extend(pool[:pupils])
-        teacher_ids.extend([leader] * pupils)
-        teach_u.append(rng.random(3 * pupils))
     wish = pop.wish_matrix
-    return len(_copy_rows(wish, wish, np.array(pupil_ids), np.array(teacher_ids),
-                          np.concatenate(teach_u).reshape(-1, 3), params.p_copy, pop.schema))
+    return len(_copy_rows(wish, wish, np.array(pupil_ids), np.repeat(leaders, pupils),
+                          u[:, pupils:].reshape(-1, 3), params.p_copy, pop.schema))
 
 
 def shop_event_count(shop_teach_rate: float, shop_count: int) -> int:
@@ -330,19 +332,14 @@ def shop_step(
     rate = params.shop_teach_rate
     if rate == 0.0:
         return 0
-    brand_ids, draws = [], []
-    for b, brand in enumerate(pop.brands):
-        n_events = shop_event_count(rate, brand.shop_count)
-        if n_events > 0:
-            brand_ids.append(np.full(n_events, b))
-            draws.append(rng.random(4 * n_events))
-    if not draws:
-        return 0
-    u = np.concatenate(draws).reshape(-1, 4)
+    counts = [shop_event_count(rate, brand.shop_count) for brand in pop.brands]
+    # the brands draw back to back, so one draw is the same stream
+    u = rng.random((sum(counts), 4))
     K = pop.num_customers
     customers = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
+    brand_ids = np.repeat(np.arange(len(counts)), counts)
     return len(_copy_rows(pop.wish_matrix, pop.assortment_matrix, customers,
-                          np.concatenate(brand_ids), u[:, 1:], params.p_copy, pop.schema))
+                          brand_ids, u[:, 1:], params.p_copy, pop.schema))
 
 
 def sweep(

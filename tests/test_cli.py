@@ -34,3 +34,31 @@ def test_run_rejects_non_utf8_config(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_oversized_shop_rate(tmp_path, capsys):
+    path = write_config(tmp_path, TINY + "shop_teach_rate = 1e30\n")
+    code = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "shop_teach_rate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_shop_count_beyond_float_range(tmp_path, capsys):
+    text = TINY + "shop_teach_rate = 1\nshop_counts = 1, " + "9" * 400 + "\n"
+    code = cli.main(["run", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "shop_counts" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def no_memory(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", no_memory)
+    code = cli.main(["run", "--config", write_config(tmp_path, TINY),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "more memory than is available" in capsys.readouterr().err

@@ -47,6 +47,7 @@ class TestSimConfig:
             ("aligned_leader_brand", -1),
             ("shop_teach_rate", -1.0),
             ("shop_teach_rate", float("inf")),
+            ("shop_teach_rate", 1e30),
             ("epsilon", 0.0),
             ("max_sweeps", 0),
             ("record_every", 0),
@@ -69,6 +70,12 @@ class TestSimConfig:
         assert "leader_pupils" in str(exc.value)
         # fine without leaders: the channel is inert
         self.base(K=5, leader_count=0, leader_pupils=4)
+
+    def test_shop_event_total_must_fit_one_draw(self):
+        with pytest.raises(ConfigurationError):
+            self.base(shop_teach_rate=1.0, shop_counts=(1, 10**400))
+        # fine when the channel is off: no shop event is ever drawn
+        self.base(shop_teach_rate=0.0, shop_counts=(1, 10**400))
 
     def test_shop_counts_length_checked(self):
         with pytest.raises(ConfigurationError):

@@ -241,6 +241,9 @@ class TestShopStep:
         state = rng.bit_generator.state
         assert shop_step(pop, KernelParams(p_copy=1.0, shop_teach_rate=0.0), rng) == 0
         assert rng.bit_generator.state == state
+        # a rate that rounds to no events per brand draws nothing either
+        assert shop_step(pop, KernelParams(p_copy=1.0, shop_teach_rate=0.4), rng) == 0
+        assert rng.bit_generator.state == state
 
     def test_forced_counts_per_brand(self):
         rng = np.random.default_rng(16)
