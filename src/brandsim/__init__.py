@@ -38,11 +38,9 @@ from .metrics import (
 )
 from .model import (
     BrandProfile,
-    Customer,
     NeedSchema,
     Population,
     WishProfile,
-    assign_brand,
     distance,
     index_from_uniform,
     init_population,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BrandProfile",
     "ConfigurationError",
-    "Customer",
     "EnsembleSummary",
     "KernelParams",
     "Mode",
@@ -66,7 +63,6 @@ __all__ = [
     "SimConfig",
     "TimeSeriesRecord",
     "WishProfile",
-    "assign_brand",
     "brand_shares",
     "consensus_reached",
     "copy_entry",

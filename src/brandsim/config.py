@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .dynamics import KernelParams, Mode, shop_event_count
 from .errors import ConfigurationError
+from .model import MAX_SUBENTRIES, check_shop_counts
 
 _MODE_NAMES = {"equality": Mode.EQUALITY, "hierarchy": Mode.HIERARCHY}
 _MAX_SEED = (1 << 64) - 1
@@ -56,6 +57,12 @@ class SimConfig:
             raise ConfigurationError(f"K must be >= 2, got {self.K}")
         if self.M < 1:
             raise ConfigurationError(f"M must be >= 1, got {self.M}")
+        # the widest array a run allocates has max(N, K) rows of at most 5 * M slots
+        if max(self.N, self.K) * MAX_SUBENTRIES * self.M > sys.maxsize:
+            raise ConfigurationError(
+                f"N, K and M ask for arrays larger than any index can address: "
+                f"max(N, K) * {MAX_SUBENTRIES} * M must stay at most {sys.maxsize}"
+            )
         if not 0 <= self.seed <= _MAX_SEED:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
         # the kernel rates' own checks live in KernelParams; only the K-dependent ones stay here
@@ -83,17 +90,8 @@ class SimConfig:
             raise ConfigurationError(
                 f"aligned_leader_brand must lie in [0, N), got {self.aligned_leader_brand}"
             )
-        if self.shop_counts is None:
-            object.__setattr__(self, "shop_counts", (1,) * self.N)
-        else:
-            counts = tuple(int(s) for s in self.shop_counts)
-            object.__setattr__(self, "shop_counts", counts)
-            if len(counts) != self.N:
-                raise ConfigurationError(
-                    f"shop_counts must have N={self.N} entries, got {len(counts)}"
-                )
-            if any(s < 1 for s in counts):
-                raise ConfigurationError("shop_counts entries must be >= 1")
+        counts = (1,) * self.N if self.shop_counts is None else self.shop_counts
+        object.__setattr__(self, "shop_counts", check_shop_counts(counts, self.N))
         # a sweep draws its shop events' uniforms as one (events, 4) array
         if self.shop_teach_rate > 0.0:
             try:

@@ -11,9 +11,9 @@ Every stochastic choice consumes float64 uniforms from one generator stream
 in a fixed, documented order, so a run can be replayed slot by slot from the
 seed alone.  A bounded index in [0, n) is ``floor(u * n)`` clamped to
 ``n - 1``, the rule of :func:`brandsim.model.index_from_uniform`; every
-channel applies it to whole arrays of uniforms at once as
-``np.minimum((u * n).astype(np.int64), n - 1)``, which performs the same
-IEEE operations.  Consumption per operation:
+channel applies it to whole arrays of uniforms at once through
+``brandsim.model._bounded_indices``, which performs the same IEEE
+operations.  Consumption per operation:
 
 * ``copy_entry``: 3 uniforms (need pick, slot pick, acceptance coin), all
   consumed even when the event is a no-op.
@@ -45,6 +45,7 @@ from .model import (
     NeedSchema,
     Population,
     WishProfile,
+    _bounded_indices,
     refresh_affiliations,
 )
 
@@ -89,10 +90,8 @@ class PairEvent(NamedTuple):
 
 def _flat_slots(schema: NeedSchema, u_need: np.ndarray, u_slot: np.ndarray) -> np.ndarray:
     """Each event's flat slot, drawn need-first as ``index_from_uniform`` does."""
-    M = schema.num_needs
-    need = np.minimum((u_need * M).astype(np.int64), M - 1)
-    jm = np.asarray(schema.jmax, dtype=np.int64)[need]
-    slot = np.minimum((u_slot * jm).astype(np.int64), jm - 1)
+    need = _bounded_indices(u_need, schema.num_needs)
+    slot = _bounded_indices(u_slot, np.asarray(schema.jmax, dtype=np.int64)[need])
     return np.asarray(schema.offsets, dtype=np.int64)[need] + slot
 
 
@@ -231,8 +230,8 @@ def _run_pair_events(
     """
     K = pop.num_customers
     u = u.reshape(-1, 5)
-    a = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
-    b = np.minimum((u[:, 1] * (K - 1)).astype(np.int64), K - 2)
+    a = _bounded_indices(u[:, 0], K)
+    b = _bounded_indices(u[:, 1], K - 1)
     b += b >= a  # the partner is one of the K-1 others
     if mode is Mode.HIERARCHY:
         ra = pop.ranks[a]
@@ -299,8 +298,7 @@ def leader_step(
     # each leader's row: its selection uniforms, then its teaching triples
     u = rng.random((len(leaders), 4 * pupils))
     steps = np.arange(pupils)
-    room = len(non_leaders) - steps
-    picks = steps + np.minimum((u[:, :pupils] * room).astype(np.int64), room - 1)
+    picks = steps + _bounded_indices(u[:, :pupils], len(non_leaders) - steps)
     pupil_ids = []
     for row in picks.tolist():
         pool = list(non_leaders)
@@ -332,11 +330,10 @@ def shop_step(
     rate = params.shop_teach_rate
     if rate == 0.0:
         return 0
-    counts = [shop_event_count(rate, brand.shop_count) for brand in pop.brands]
+    counts = [shop_event_count(rate, s) for s in pop.shop_counts]
     # the brands draw back to back, so one draw is the same stream
     u = rng.random((sum(counts), 4))
-    K = pop.num_customers
-    customers = np.minimum((u[:, 0] * K).astype(np.int64), K - 1)
+    customers = _bounded_indices(u[:, 0], pop.num_customers)
     brand_ids = np.repeat(np.arange(len(counts)), counts)
     return len(_copy_rows(pop.wish_matrix, pop.assortment_matrix, customers,
                           brand_ids, u[:, 1:], params.p_copy, pop.schema))

@@ -159,9 +159,9 @@ def sweep_param(
 ) -> list[tuple[float | int, EnsembleSummary]]:
     """One ensemble per value of a single swept parameter, same base seed.
 
-    Sweeping ``N`` resets ``shop_counts`` to all ones of the new length,
-    since the configured vector cannot carry over.  Values invalid for the
-    key surface as configuration errors.
+    Sweeping ``N`` resets ``shop_counts`` to its default, all ones of the
+    new length, since the configured vector cannot carry over.  Values
+    invalid for the key surface as configuration errors.
     """
     if param_name not in _SWEEPABLE:
         raise ConfigurationError(f"unknown sweep parameter {param_name!r}")
@@ -176,7 +176,7 @@ def sweep_param(
             ) from None
         changes: dict = {param_name: coerced}
         if param_name == "N":
-            changes["shop_counts"] = (1,) * coerced
+            changes["shop_counts"] = None
         swept = dataclasses.replace(cfg, **changes)
         out.append((coerced, ensemble(swept, runs, parallel)))
     return out

@@ -1,10 +1,12 @@
-"""Core domain types: need schemas, wish profiles, customers, brands, populations.
+"""Core domain types: need schemas, wish profiles and the population arrays.
 
 A customer's state is a ragged matrix of need-satisfaction values, stored
 flat: need ``i`` owns ``jmax[i]`` consecutive slots (at most five).  A slot
 value of exactly ``0.0`` encodes an unknown need; known values lie in
-``(0, 1]``.  Brands carry a fixed assortment matrix of the same shape with
-every slot known, plus a shop count used as a teaching weight.
+``(0, 1]``.  A population holds every customer's wishes as the rows of one
+K x S matrix and every brand's fixed assortment, with all slots known, as
+the rows of an N x S matrix, plus one shop count per brand used as a
+teaching weight.
 """
 
 from __future__ import annotations
@@ -33,6 +35,28 @@ def index_from_uniform(u: float, n: int) -> int:
     """
     i = int(u * n)
     return n - 1 if i >= n else i
+
+
+def _bounded_indices(u: np.ndarray, n) -> np.ndarray:
+    """:func:`index_from_uniform` over an array of uniforms, with the same IEEE
+    operations; ``n`` is one bound or an array of per-draw bounds."""
+    return np.minimum((u * n).astype(np.int64), n - 1)
+
+
+def check_shop_counts(shop_counts: Sequence[int], N: int) -> tuple[int, ...]:
+    """The shop counts as a tuple of Python ints: one per brand, each >= 1.
+
+    A tuple rather than an int64 array, so a count too large for 64 bits
+    stays valid wherever no shop event is drawn (a teaching rate of 0).
+    """
+    counts = tuple(int(s) for s in shop_counts)
+    if len(counts) != N:
+        raise ConfigurationError(
+            f"shop_counts must have one entry per brand (N={N}), got {len(counts)}"
+        )
+    if any(s < 1 for s in counts):
+        raise ConfigurationError("shop_counts entries must be >= 1")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -70,27 +94,18 @@ class NeedSchema:
             acc += j
         return tuple(out)
 
-    def flat_index(self, need: int, slot: int) -> int:
-        if not 0 <= need < self.num_needs:
-            raise IndexError(f"need index {need} out of range")
-        if not 0 <= slot < self.jmax[need]:
-            raise IndexError(f"slot index {slot} out of range for need {need}")
-        return self.offsets[need] + slot
-
 
 class WishProfile:
     """A ragged needs matrix stored as one flat float array.
 
-    The array may be a view into a population-owned matrix, so slot writes
-    through either surface stay coherent.
+    The array may be a view into a population-owned matrix, so writes
+    through either stay coherent.
     """
 
     __slots__ = ("values", "schema")
 
-    def __init__(self, values, schema: NeedSchema, copy: bool = False):
+    def __init__(self, values, schema: NeedSchema):
         arr = np.asarray(values, dtype=np.float64)
-        if copy:
-            arr = arr.copy()
         if arr.shape != (schema.total_slots,):
             raise ValueError(
                 f"profile shape {arr.shape} does not match schema with "
@@ -99,62 +114,8 @@ class WishProfile:
         self.values = arr
         self.schema = schema
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]], schema: NeedSchema) -> "WishProfile":
-        """Build a profile from one sequence of values per need."""
-        if len(rows) != schema.num_needs:
-            raise ValueError(f"expected {schema.num_needs} rows, got {len(rows)}")
-        flat = []
-        for i, row in enumerate(rows):
-            if len(row) != schema.jmax[i]:
-                raise ValueError(
-                    f"need {i} expects {schema.jmax[i]} slots, got {len(row)}"
-                )
-            flat.extend(float(v) for v in row)
-        return cls(np.array(flat, dtype=np.float64), schema)
-
-    def rows(self) -> list[np.ndarray]:
-        """Per-need views into the flat storage."""
-        return [
-            self.values[off : off + j]
-            for off, j in zip(self.schema.offsets, self.schema.jmax)
-        ]
-
-    def get(self, need: int, slot: int) -> float:
-        return float(self.values[self.schema.flat_index(need, slot)])
-
-    def set(self, need: int, slot: int, value: float) -> None:
-        self.values[self.schema.flat_index(need, slot)] = value
-
-    def known_mask(self) -> np.ndarray:
-        return self.values != 0.0
-
-    def all_known(self) -> bool:
-        return bool(np.all(self.values != 0.0))
-
-    def copy(self) -> "WishProfile":
-        return WishProfile(self.values.copy(), self.schema)
-
-    def same_values(self, other: "WishProfile") -> bool:
-        return np.array_equal(self.values, other.values)
-
-    def validate(self) -> None:
-        v = self.values
-        if not np.all(np.isfinite(v)):
-            raise ValueError("profile contains non-finite entries")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("known entries must lie in (0, 1] and unknown ones be 0")
-
     def __repr__(self) -> str:
-        return f"WishProfile({[list(r) for r in self.rows()]})"
-
-
-@dataclass
-class Customer:
-    id: int
-    wish: WishProfile
-    rank: float
-    affiliation: int
+        return f"WishProfile({self.values.tolist()}, {self.schema!r})"
 
 
 @dataclass
@@ -167,13 +128,13 @@ class BrandProfile:
 class Population:
     """Every customer and brand under one schema, plus the sweep counter.
 
-    The ``wish_matrix`` (K x S), ``assortment_matrix`` (N x S), ``ranks`` and
-    ``affiliations`` arrays are the storage of record for customers; the
-    :class:`Customer` records of ``customers`` are built from them on access.
-    Each :class:`BrandProfile` in ``brands`` wraps a row view of the
-    assortment matrix and holds the brand's shop count.  Ranks and the
-    leader set are fixed for the lifetime of the population; affiliations
-    are refreshed after every sweep.
+    Customers are the rows of ``wish_matrix`` (K x S) and the entries of
+    ``ranks`` and ``affiliations``; brands are the rows of
+    ``assortment_matrix`` (N x S) and the entries of the ``shop_counts``
+    tuple.  These are the only storage: the :class:`BrandProfile` records of
+    ``brands`` are built from them on access.  Ranks and the leader set are
+    fixed for the lifetime of the population; affiliations are refreshed
+    after every sweep.
     """
 
     def __init__(
@@ -184,12 +145,10 @@ class Population:
         assortment_matrix,
         shop_counts: Sequence[int],
         t: int = 0,
-        validate: bool = True,
     ):
         wish = np.ascontiguousarray(wish_matrix, dtype=np.float64)
         assort = np.ascontiguousarray(assortment_matrix, dtype=np.float64)
         rank_arr = np.ascontiguousarray(ranks, dtype=np.float64)
-        counts = tuple(int(s) for s in shop_counts)
 
         S = schema.total_slots
         if wish.ndim != 2 or wish.shape[1] != S:
@@ -204,28 +163,20 @@ class Population:
             raise ConfigurationError("population needs at least one brand")
         if rank_arr.shape != (K,):
             raise ValueError(f"ranks must be shape ({K},), got {rank_arr.shape}")
-        if len(counts) != N:
-            raise ConfigurationError(
-                f"shop_counts must have one entry per brand ({N}), got {len(counts)}"
-            )
-        if validate:
-            if not np.all(np.isfinite(wish)) or np.any(wish < 0.0) or np.any(wish > 1.0):
-                raise ValueError("wish entries must be 0 (unknown) or in (0, 1]")
-            if not np.all(np.isfinite(assort)) or np.any(assort <= 0.0) or np.any(assort > 1.0):
-                raise ValueError("assortment entries must all be known, in (0, 1]")
-            if np.any(rank_arr < 0.0) or np.any(rank_arr > 1.0):
-                raise ValueError("ranks must lie in [0, 1]")
-            if any(s < 1 for s in counts):
-                raise ConfigurationError("every shop_count must be >= 1")
+        self.shop_counts = check_shop_counts(shop_counts, N)
+        # written so that NaN fails every check
+        if not ((wish >= 0.0) & (wish <= 1.0)).all():
+            raise ValueError("wish entries must be 0 (unknown) or in (0, 1]")
+        if not ((assort > 0.0) & (assort <= 1.0)).all():
+            raise ValueError("assortment entries must all be known, in (0, 1]")
+        if not ((rank_arr >= 0.0) & (rank_arr <= 1.0)).all():
+            raise ValueError("ranks must lie in [0, 1]")
 
         self.schema = schema
         self.t = int(t)
         self.wish_matrix = wish
         self.assortment_matrix = assort
         self.ranks = rank_arr
-        self.brands = [
-            BrandProfile(b, WishProfile(assort[b], schema), counts[b]) for b in range(N)
-        ]
         self.leader_ids = tuple(int(k) for k in np.flatnonzero(rank_arr == 1.0))
         leader_set = set(self.leader_ids)
         self.non_leader_ids = tuple(k for k in range(K) if k not in leader_set)
@@ -240,17 +191,11 @@ class Population:
         return self.assortment_matrix.shape[0]
 
     @property
-    def shop_counts(self) -> tuple[int, ...]:
-        return tuple(brand.shop_count for brand in self.brands)
-
-    @property
-    def customers(self) -> list[Customer]:
-        """One record per customer; ``wish`` is a live view of its matrix row."""
+    def brands(self) -> list[BrandProfile]:
+        """One record per brand; ``assortment`` is a live view of its matrix row."""
         return [
-            Customer(k, WishProfile(row, self.schema), rank, aff)
-            for k, (row, rank, aff) in enumerate(
-                zip(self.wish_matrix, self.ranks.tolist(), self.affiliations.tolist())
-            )
+            BrandProfile(b, WishProfile(row, self.schema), count)
+            for b, (row, count) in enumerate(zip(self.assortment_matrix, self.shop_counts))
         ]
 
     def clone(self) -> "Population":
@@ -261,7 +206,6 @@ class Population:
             self.assortment_matrix.copy(),
             self.shop_counts,
             t=self.t,
-            validate=False,
         )
 
     def __repr__(self) -> str:
@@ -303,17 +247,6 @@ def _nearest_brand(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
     return cdist(wish, assortment, "sqeuclidean").argmin(axis=1)
 
 
-def assign_brand(customer: Customer, brands: Sequence[BrandProfile]) -> int:
-    """Index of the brand whose assortment is nearest to the customer's wish.
-
-    Ties break to the smallest brand index.
-    """
-    if len(brands) == 0:
-        raise ConfigurationError("assign_brand requires at least one brand")
-    assortment = np.array([brand.assortment.values for brand in brands])
-    return int(_nearest_brand(customer.wish.values[np.newaxis], assortment)[0])
-
-
 def refresh_affiliations(pop: Population) -> None:
     """Recompute every customer's nearest brand (ties to the smallest index)."""
     pop.affiliations[:] = _nearest_brand(pop.wish_matrix, pop.assortment_matrix)
@@ -328,8 +261,7 @@ def init_schema(num_needs: int, rng: np.random.Generator) -> NeedSchema:
     if num_needs < 1:
         raise ConfigurationError(f"M must be >= 1, got {num_needs}")
     u = rng.random(num_needs)
-    counts = np.minimum((u * MAX_SUBENTRIES).astype(np.int64), MAX_SUBENTRIES - 1) + 1
-    return NeedSchema(tuple(int(j) for j in counts))
+    return NeedSchema(tuple((_bounded_indices(u, MAX_SUBENTRIES) + 1).tolist()))
 
 
 def init_population(cfg: "SimConfig", rng: np.random.Generator) -> Population:
@@ -361,6 +293,4 @@ def init_population(cfg: "SimConfig", rng: np.random.Generator) -> Population:
         ranks[leaders] = 1.0
         if cfg.aligned_leader_brand is not None:
             wish[leaders] = assort[cfg.aligned_leader_brand]
-    return Population(
-        schema, wish, ranks, assort, cfg.shop_counts, t=0, validate=False
-    )
+    return Population(schema, wish, ranks, assort, cfg.shop_counts)

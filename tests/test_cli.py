@@ -1,3 +1,5 @@
+import pytest
+
 from brandsim import cli
 
 TINY = "N = 2\nK = 6\nM = 2\nmode = equality\nseed = 5\nmax_sweeps = 20\n"
@@ -62,3 +64,23 @@ def test_run_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "more memory than is available" in capsys.readouterr().err
+
+
+def test_run_accepts_huge_shop_count_at_rate_zero(tmp_path):
+    # at rate 0 no shop event is drawn, so any count is valid
+    text = TINY + "shop_counts = 1, " + str(10**85) + "\n"
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", write_config(tmp_path, text), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert (out / "timeseries.csv").is_file()
+
+
+@pytest.mark.parametrize("key", ["N", "K", "M"])
+def test_run_rejects_size_beyond_index_range(tmp_path, capsys, key):
+    lines = [f"{key} = {10**30}" if line.split(" =")[0] == key else line
+             for line in TINY.splitlines()]
+    code = cli.main(["run", "--config", write_config(tmp_path, "\n".join(lines)),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

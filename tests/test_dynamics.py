@@ -23,7 +23,7 @@ from brandsim import (
 from brandsim.dynamics import _MIN_BATCH, _apply_copies
 
 
-def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None):
+def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None, shop_counts=None):
     schema = NeedSchema(jmax)
     S = schema.total_slots
     wish = 1.0 - rng.random((K, S))
@@ -31,7 +31,8 @@ def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None):
     if ranks is None:
         ranks = rng.random(K)
     assort = 1.0 - rng.random((N, S))
-    return Population(schema, wish, np.asarray(ranks, dtype=float), assort, (1,) * N)
+    return Population(schema, wish, np.asarray(ranks, dtype=float), assort,
+                      shop_counts or (1,) * N)
 
 
 class TestKernelParams:
@@ -300,9 +301,8 @@ class TestSweep:
         # the sweep must consume exactly 5K + leaders*(P + 3P) + sum_b 4*events_b
         rng = np.random.default_rng(21)
         K, pupils, rate = 9, 4, 1.5
-        pop = make_population(rng, K=K, N=2, ranks=[1.0] + [0.5] * (K - 1))
-        pop.brands[0].shop_count = 2
-        pop.brands[1].shop_count = 1
+        pop = make_population(rng, K=K, N=2, ranks=[1.0] + [0.5] * (K - 1),
+                              shop_counts=(2, 1))
         params = KernelParams(p_copy=0.5, leader_pupils=pupils, shop_teach_rate=rate)
         seed_state = rng.bit_generator.state
         sweep(pop, Mode.HIERARCHY, params, rng)

@@ -213,6 +213,10 @@ class TestSweepParam:
         with pytest.raises(ConfigurationError):
             sweep_param(cfg(), "p_copy", [1.5], runs=1)
 
+    def test_n_beyond_index_range_is_config_error(self):
+        with pytest.raises(ConfigurationError):
+            sweep_param(cfg(), "N", [10**30])
+
     def test_string_values_coerced(self):
         rows = sweep_param(cfg(max_sweeps=5), "p_copy", ["0.25"], runs=1)
         assert rows[0][0] == 0.25

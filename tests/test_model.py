@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+import brandsim
 from brandsim import (
     ConfigurationError,
-    Customer,
     NeedSchema,
     Population,
     SimConfig,
     Mode,
     WishProfile,
-    assign_brand,
     distance,
     index_from_uniform,
     init_population,
@@ -18,7 +17,7 @@ from brandsim import (
 )
 
 
-def make_population(rng, K=4, N=2, jmax=(2, 3), p_unknown=0.25):
+def make_population(rng, K=4, N=2, jmax=(2, 3), p_unknown=0.25, shop_counts=None):
     """Random valid population for tests."""
     schema = NeedSchema(jmax)
     S = schema.total_slots
@@ -26,7 +25,25 @@ def make_population(rng, K=4, N=2, jmax=(2, 3), p_unknown=0.25):
     wish[rng.random((K, S)) < p_unknown] = 0.0
     ranks = rng.random(K)
     assort = 1.0 - rng.random((N, S))
-    return Population(schema, wish, ranks, assort, (1,) * N)
+    return Population(schema, wish, ranks, assort, shop_counts or (1,) * N)
+
+
+def nearest_by_scan(pop):
+    """Each customer's nearest brand by an exhaustive ``distance`` scan over
+    the matrix rows, ties to the smallest index."""
+    out = []
+    for wish in pop.wish_matrix:
+        dists = [distance(wish, assort) for assort in pop.assortment_matrix]
+        out.append(min(range(len(dists)), key=lambda b: (dists[b], b)))
+    return out
+
+
+def test_public_names_resolve():
+    for name in brandsim.__all__:
+        getattr(brandsim, name)
+    for gone in ("Customer", "assign_brand"):
+        assert gone not in brandsim.__all__
+        assert not hasattr(brandsim, gone)
 
 
 def test_index_from_uniform_bounds():
@@ -43,7 +60,6 @@ class TestNeedSchema:
         assert s.num_needs == 3
         assert s.total_slots == 9
         assert s.offsets == (0, 1, 6)
-        assert s.flat_index(2, 1) == 7
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
@@ -54,44 +70,25 @@ class TestNeedSchema:
         with pytest.raises(ConfigurationError):
             NeedSchema((1, bad))
 
-    def test_flat_index_bounds(self):
-        s = NeedSchema((2, 1))
-        with pytest.raises(IndexError):
-            s.flat_index(0, 2)
-        with pytest.raises(IndexError):
-            s.flat_index(2, 0)
-
 
 class TestWishProfile:
-    def test_from_rows_and_access(self):
-        schema = NeedSchema((1, 2))
-        w = WishProfile.from_rows([[0.5], [0.2, 0.9]], schema)
-        assert w.get(0, 0) == 0.5
-        assert w.get(1, 1) == 0.9
-        assert [list(r) for r in w.rows()] == [[0.5], [0.2, 0.9]]
-        w.set(1, 0, 0.3)
-        assert w.get(1, 0) == 0.3
-
     def test_shape_mismatch(self):
         schema = NeedSchema((1, 2))
         with pytest.raises(ValueError):
             WishProfile(np.zeros(4), schema)
-        with pytest.raises(ValueError):
-            WishProfile.from_rows([[0.5], [0.2]], schema)
-
-    def test_known_mask(self):
-        schema = NeedSchema((2,))
-        w = WishProfile(np.array([0.0, 0.7]), schema)
-        assert list(w.known_mask()) == [False, True]
-        assert not w.all_known()
 
     def test_validate(self):
+        # wish values are checked where they are stored, by Population
         schema = NeedSchema((2,))
-        WishProfile(np.array([0.0, 1.0]), schema).validate()
-        with pytest.raises(ValueError):
-            WishProfile(np.array([1.5, 0.2]), schema).validate()
-        with pytest.raises(ValueError):
-            WishProfile(np.array([-0.1, 0.2]), schema).validate()
+        assort = np.array([[0.5, 0.5]])
+        Population(schema, np.array([[0.0, 1.0], [0.3, 0.2]]), np.zeros(2), assort, (1,))
+        for bad in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                Population(schema, np.array([[bad, 0.2], [0.3, 0.2]]), np.zeros(2), assort, (1,))
+
+    def test_repr_round_trips_values(self):
+        w = WishProfile(np.array([0.5, 0.0, 0.25]), NeedSchema((1, 2)))
+        assert repr(w) == "WishProfile([0.5, 0.0, 0.25], NeedSchema(jmax=(1, 2)))"
 
 
 class TestDistance:
@@ -119,8 +116,8 @@ class TestDistance:
     def test_hand_worked_example(self):
         # independent scalar recomputation of a small ragged case
         schema = NeedSchema((1, 2))
-        w = WishProfile.from_rows([[0.5], [0.2, 0.9]], schema)
-        a = WishProfile.from_rows([[0.1], [0.2, 0.4]], schema)
+        w = WishProfile(np.array([0.5, 0.2, 0.9]), schema)
+        a = WishProfile(np.array([0.1, 0.2, 0.4]), schema)
         scalar = ((0.5 - 0.1) ** 2 + (0.2 - 0.2) ** 2 + (0.9 - 0.4) ** 2) / 3
         assert scalar == pytest.approx(0.41 / 3, rel=1e-15)
         assert distance(w, a) == pytest.approx(scalar, rel=1e-15)
@@ -147,42 +144,36 @@ class TestAssignBrand:
     def test_single_brand(self):
         rng = np.random.default_rng(2)
         pop = make_population(rng, K=3, N=1)
-        for c in pop.customers:
-            assert assign_brand(c, pop.brands) == 0
+        assert list(pop.affiliations) == [0, 0, 0] == nearest_by_scan(pop)
 
     def test_tie_breaks_to_smaller_index(self):
         schema = NeedSchema((2,))
         assort = np.array([[0.5, 0.5], [0.5, 0.5]])
         wish = np.array([[0.2, 0.0], [0.9, 0.9]])
         pop = Population(schema, wish, np.zeros(2), assort, (1, 1))
-        for c in pop.customers:
-            assert assign_brand(c, pop.brands) == 0
+        assert nearest_by_scan(pop) == [0, 0]
         assert list(pop.affiliations) == [0, 0]
 
     def test_empty_brand_list(self):
-        rng = np.random.default_rng(3)
-        pop = make_population(rng)
+        schema = NeedSchema((2,))
+        wish = np.array([[0.2, 0.0], [0.9, 0.9]])
         with pytest.raises(ConfigurationError):
-            assign_brand(pop.customers[0], [])
+            Population(schema, wish, np.zeros(2), np.empty((0, 2)), ())
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             pop = make_population(rng, K=4, N=5, jmax=(1, 3, 2))
-            for c in pop.customers:
-                dists = [distance(c.wish, b.assortment) for b in pop.brands]
-                best = min(range(5), key=lambda i: (dists[i], i))
-                assert assign_brand(c, pop.brands) == best
-                assert pop.affiliations[c.id] == best
+            assert list(pop.affiliations) == nearest_by_scan(pop)
 
     def test_affiliation_minimises_distance_after_refresh(self):
         rng = np.random.default_rng(5)
         pop = make_population(rng, K=6, N=4, jmax=(2, 2))
         refresh_affiliations(pop)
-        for c in pop.customers:
-            own = distance(c.wish, pop.brands[c.affiliation].assortment)
-            for b in pop.brands:
-                assert own <= distance(c.wish, b.assortment)
+        for wish, aff in zip(pop.wish_matrix, pop.affiliations):
+            own = distance(wish, pop.assortment_matrix[aff])
+            for assort in pop.assortment_matrix:
+                assert own <= distance(wish, assort)
 
 
 class TestInitSchema:
@@ -212,7 +203,7 @@ class TestInitPopulation:
     def test_no_leaders_means_no_unit_rank(self):
         pop = init_population(self.cfg(leader_count=0), np.random.default_rng(0))
         assert pop.leader_ids == ()
-        assert all(c.rank < 1.0 for c in pop.customers)
+        assert np.all(pop.ranks < 1.0)
 
     def test_leader_promotion_counts(self):
         pop = init_population(self.cfg(K=100, leader_count=3), np.random.default_rng(1))
@@ -265,8 +256,7 @@ class TestInitPopulation:
 
     def test_affiliations_are_argmin(self):
         pop = init_population(self.cfg(), np.random.default_rng(7))
-        for c in pop.customers:
-            assert c.affiliation == assign_brand(c, pop.brands)
+        assert list(pop.affiliations) == nearest_by_scan(pop)
 
     def test_t_starts_at_zero(self):
         assert init_population(self.cfg(), np.random.default_rng(8)).t == 0
@@ -282,9 +272,9 @@ class TestPopulation:
         schema = NeedSchema((1,))
         wish = np.array([[0.5], [0.6]])
         assort = np.array([[0.5]])
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="shop_counts"):
             Population(schema, wish, np.array([0.1, 0.2]), assort, (1, 1))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="shop_counts"):
             Population(schema, wish, np.array([0.1, 0.2]), assort, (0,))
 
     def test_rejects_zero_assortment_entry(self):
@@ -294,13 +284,15 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population(schema, wish, np.array([0.1, 0.2]), assort, (1,))
 
-    def test_customer_wish_is_live_view(self):
+    def test_brand_record_is_live_view(self):
         rng = np.random.default_rng(9)
-        pop = make_population(rng)
-        pop.customers[0].wish.set(0, 0, 0.123)
-        assert pop.wish_matrix[0, 0] == 0.123
-        pop.wish_matrix[1, 0] = 0.456
-        assert pop.customers[1].wish.values[0] == 0.456
+        pop = make_population(rng, N=3, shop_counts=(2, 5, 1))
+        pop.brands[1].assortment.values[0] = 0.123
+        assert pop.assortment_matrix[1, 0] == 0.123
+        pop.assortment_matrix[2, 1] = 0.456
+        assert pop.brands[2].assortment.values[1] == 0.456
+        assert [b.id for b in pop.brands] == [0, 1, 2]
+        assert [b.shop_count for b in pop.brands] == list(pop.shop_counts) == [2, 5, 1]
 
     def test_clone_is_independent(self):
         rng = np.random.default_rng(10)
