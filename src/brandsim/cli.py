@@ -42,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--values", required=True, help="comma-separated list of values")
     sw_p.add_argument("--runs", type=int, default=1)
     sw_p.add_argument("--out", default=".")
+    sw_p.set_defaults(seed=None)
     return parser
 
 

@@ -28,7 +28,8 @@ operations.  Consumption per operation:
   shop_count)`` events (Python banker's rounding) of 4 uniforms each
   (customer pick plus the copy_entry triple).  A rate of 0 consumes nothing.
 * ``sweep``: K pair events, then ``leader_step``, then ``shop_step``, then
-  an affiliation refresh (no draws) and the time increment.
+  an affiliation refresh (no draws) and the time increment.  The refresh
+  only marks affiliations stale; the next read recomputes them.
 """
 
 from __future__ import annotations
@@ -349,8 +350,9 @@ def sweep(
     """Advance the population by one time unit, in place.
 
     Performs exactly K pair events, then the leader and shop channels, then
-    refreshes every affiliation and increments ``t``.  When ``event_log`` is
-    a list, one :class:`PairEvent` per pair interaction is appended to it.
+    refreshes the affiliations, which marks them stale so the next read
+    recomputes them, and increments ``t``.  When ``event_log`` is a list,
+    one :class:`PairEvent` per pair interaction is appended to it.
     """
     K = pop.num_customers
     if K < 2:

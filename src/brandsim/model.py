@@ -133,8 +133,9 @@ class Population:
     ``assortment_matrix`` (N x S) and the entries of the ``shop_counts``
     tuple.  These are the only storage: the :class:`BrandProfile` records of
     ``brands`` are built from them on access.  Ranks and the leader set are
-    fixed for the lifetime of the population; affiliations are refreshed
-    after every sweep.
+    fixed for the lifetime of the population.  Affiliations are computed on
+    first read and cached; a refresh marks them stale, so the next read
+    recomputes them from the current wishes.
     """
 
     def __init__(
@@ -180,7 +181,14 @@ class Population:
         self.leader_ids = tuple(int(k) for k in np.flatnonzero(rank_arr == 1.0))
         leader_set = set(self.leader_ids)
         self.non_leader_ids = tuple(k for k in range(K) if k not in leader_set)
-        self.affiliations = _nearest_brand(wish, assort)
+        self._affiliations: np.ndarray | None = None
+
+    @property
+    def affiliations(self) -> np.ndarray:
+        """Each customer's nearest brand (ties to the smallest index)."""
+        if self._affiliations is None:
+            self._affiliations = _nearest_brand(self.wish_matrix, self.assortment_matrix)
+        return self._affiliations
 
     @property
     def num_customers(self) -> int:
@@ -248,8 +256,9 @@ def _nearest_brand(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
 
 
 def refresh_affiliations(pop: Population) -> None:
-    """Recompute every customer's nearest brand (ties to the smallest index)."""
-    pop.affiliations[:] = _nearest_brand(pop.wish_matrix, pop.assortment_matrix)
+    """Mark every customer's nearest brand stale; the next read of
+    ``pop.affiliations`` recomputes it from the current wishes."""
+    pop._affiliations = None
 
 
 def init_schema(num_needs: int, rng: np.random.Generator) -> NeedSchema:

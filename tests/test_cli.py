@@ -1,6 +1,9 @@
+import dataclasses
+import io
+
 import pytest
 
-from brandsim import cli
+from brandsim import cli, emit_summary, ensemble, load_config
 
 TINY = "N = 2\nK = 6\nM = 2\nmode = equality\nseed = 5\nmax_sweeps = 20\n"
 
@@ -19,6 +22,21 @@ def test_run_writes_timeseries(tmp_path, capsys):
     assert lines[0] == "t,fluctuation,share_0,share_1,dominant"
     assert len(lines) >= 2
     assert "sweeps=" in capsys.readouterr().out
+
+
+def test_sweep_writes_one_summary_per_value(tmp_path, capsys):
+    path = write_config(tmp_path, TINY)
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", path, "--param", "p_copy",
+                     "--values", "0.5,1", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    for i, value in enumerate([0.5, 1.0]):
+        expected = io.StringIO()
+        emit_summary(ensemble(dataclasses.replace(load_config(path), p_copy=value), 1),
+                     expected)
+        written = (out / f"sweep_p_copy_{i}.txt").read_bytes()
+        assert written == expected.getvalue().encode("utf-8")
+    assert "wrote 2 summaries" in capsys.readouterr().out
 
 
 def test_run_rejects_infinite_shop_rate(tmp_path, capsys):

@@ -7,6 +7,11 @@ so a speed-up must leave every pin as it is.  The cases cover both modes,
 leaders with and without an aligned brand, uneven shop counts, leader and
 shop batches above the batched-applier threshold, ``p_unknown`` of 0 and 0.9,
 and ``record_every = 3``.
+
+The ensemble cases pin the ``emit_summary`` text of whole ensembles, which
+reads each run's ``converged_at`` and final dominant brand: runs to
+consensus, runs that hit ``max_sweeps``, and leaders plus shops recorded
+every sweep and every fifth sweep.
 """
 
 import hashlib
@@ -14,7 +19,7 @@ import io
 
 import pytest
 
-from brandsim import Mode, SimConfig, emit_csv, run
+from brandsim import Mode, SimConfig, emit_csv, emit_summary, ensemble, run
 from brandsim.dynamics import _MIN_BATCH
 
 EQ, HI = Mode.EQUALITY, Mode.HIERARCHY
@@ -77,6 +82,35 @@ GOLDEN = {
 }
 
 
+_LEADERS_SHOPS = dict(N=3, K=30, M=3, mode=EQ, seed=13, p_copy=0.7, leader_count=2,
+                      leader_pupils=4, shop_counts=(1, 2, 1), shop_teach_rate=0.5,
+                      epsilon=0.02, max_sweeps=400)
+
+# name: (config, runs, sha256 of emit_summary)
+GOLDEN_ENSEMBLES = {
+    "equality_k50_to_consensus": (
+        dict(N=3, K=50, M=3, mode=EQ, seed=11, max_sweeps=5000),
+        3,
+        "ecbcf70583542762a910dc4f3e2b6fdcee49af66d87a7386258e534dc994c126",
+    ),
+    "hierarchy_frozen_max_sweeps": (
+        dict(N=3, K=25, M=3, mode=HI, seed=12, p_copy=0.8, max_sweeps=300),
+        3,
+        "504bd020f84f0def92d73a5a9d541a0c75e39c2112e05a151bbf8112a6c2b9a2",
+    ),
+    "leaders_shops_record_every_1": (
+        dict(_LEADERS_SHOPS, record_every=1),
+        4,
+        "313caede738bf291c3c601b96b69a67109ed231530a1c6ec37382ffebd900708",
+    ),
+    "leaders_shops_record_every_5": (
+        dict(_LEADERS_SHOPS, record_every=5),
+        4,
+        "313caede738bf291c3c601b96b69a67109ed231530a1c6ec37382ffebd900708",
+    ),
+}
+
+
 def run_hashes(config: dict) -> tuple[str, str]:
     result = run(SimConfig(**config))
     sink = io.StringIO()
@@ -102,3 +136,20 @@ def test_cases_reach_the_batched_applier():
     )
     assert leader_events >= _MIN_BATCH
     assert shop_events >= _MIN_BATCH
+
+
+def summary_hash(config: dict, runs: int, parallel: int = 1) -> str:
+    sink = io.StringIO()
+    emit_summary(ensemble(SimConfig(**config), runs, parallel), sink)
+    return hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENSEMBLES))
+def test_ensemble_matches_golden_hash(name):
+    config, runs, digest = GOLDEN_ENSEMBLES[name]
+    assert summary_hash(config, runs) == digest
+
+
+def test_parallel_ensemble_matches_golden_hash():
+    config, runs, digest = GOLDEN_ENSEMBLES["leaders_shops_record_every_1"]
+    assert summary_hash(config, runs, parallel=2) == digest

@@ -178,6 +178,20 @@ class TestEnsemble:
         assert set(summary.dominant_brand_histogram) == {0.0}
 
 
+class TestRunStats:
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("changes, converged_at", [
+        (dict(N=3, K=8, M=2, seed=3, max_sweeps=500), 32),
+        (dict(N=3, seed=1, max_sweeps=20), None),
+        (dict(p_unknown=1.0), 0),  # every wish unknown: consensus at t=0
+    ], ids=["converges", "hits_max_sweeps", "starts_in_consensus"])
+    def test_matches_the_full_run(self, changes, converged_at, record_every):
+        c = cfg(record_every=record_every, **changes)
+        r = run(c)
+        assert r.converged_at == converged_at
+        assert harness._run_stats(c) == (r.converged_at, r.records[-1].dominant)
+
+
 class TestSweepParam:
     def test_empty_values(self):
         assert sweep_param(cfg(), "p_copy", []) == []

@@ -4,6 +4,7 @@ import pytest
 import brandsim
 from brandsim import (
     ConfigurationError,
+    KernelParams,
     NeedSchema,
     Population,
     SimConfig,
@@ -14,6 +15,7 @@ from brandsim import (
     init_population,
     init_schema,
     refresh_affiliations,
+    sweep,
 )
 
 
@@ -260,6 +262,51 @@ class TestInitPopulation:
 
     def test_t_starts_at_zero(self):
         assert init_population(self.cfg(), np.random.default_rng(8)).t == 0
+
+
+class TestLazyAffiliations:
+    """Affiliations are computed on read; a sweep only marks them stale."""
+
+    CFG = SimConfig(N=3, K=40, M=4, mode=Mode.HIERARCHY, seed=31, p_copy=0.8,
+                    leader_count=2, leader_pupils=6, shop_counts=(1, 2, 3),
+                    shop_teach_rate=1.0)
+    PARAMS = KernelParams(p_copy=0.8, leader_pupils=6, shop_teach_rate=1.0)
+
+    def start(self):
+        rng = np.random.default_rng(self.CFG.seed)
+        return init_population(self.CFG, rng), rng
+
+    def advance(self, pop, rng):
+        sweep(pop, self.CFG.mode, self.PARAMS, rng)
+
+    def test_reading_every_sweep_matches_reading_at_the_end(self):
+        eager, rng = self.start()
+        lazy, lazy_rng = self.start()
+        for _ in range(20):
+            self.advance(eager, rng)
+            assert len(eager.affiliations) == self.CFG.K
+            self.advance(lazy, lazy_rng)
+        assert np.array_equal(eager.affiliations, lazy.affiliations)
+        assert eager.wish_matrix.tobytes() == lazy.wish_matrix.tobytes()
+
+    def test_matches_scan_after_every_sweep(self):
+        pop, rng = self.start()
+        switches = 0
+        before = pop.affiliations.copy()
+        for _ in range(20):
+            self.advance(pop, rng)
+            assert list(pop.affiliations) == nearest_by_scan(pop)
+            switches += int(np.count_nonzero(pop.affiliations != before))
+            before = pop.affiliations.copy()
+        assert switches > 0  # the cache really went stale
+
+    def test_reading_draws_nothing(self):
+        pop, rng = self.start()
+        for _ in range(3):
+            self.advance(pop, rng)
+            state = rng.bit_generator.state
+            assert len(pop.affiliations) == self.CFG.K
+            assert rng.bit_generator.state == state
 
 
 class TestPopulation:
