@@ -42,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--values", required=True, help="comma-separated list of values")
     sw_p.add_argument("--runs", type=int, default=1)
     sw_p.add_argument("--out", default=".")
+    sw_p.add_argument("--parallel", type=int, default=1, help="worker processes")
     sw_p.set_defaults(seed=None)
     return parser
 
@@ -86,7 +87,7 @@ def _cmd_ensemble(args) -> None:
 def _cmd_sweep(args) -> None:
     cfg = _load(args)
     values = [part.strip() for part in args.values.split(",") if part.strip()]
-    rows = sweep_param(cfg, args.param, values, runs=args.runs)
+    rows = sweep_param(cfg, args.param, values, runs=args.runs, parallel=args.parallel)
     out = _outdir(args)
     for i, (value, summary) in enumerate(rows):
         path = out / f"sweep_{args.param}_{i}.txt"

@@ -90,7 +90,14 @@ class SimConfig:
             raise ConfigurationError(
                 f"aligned_leader_brand must lie in [0, N), got {self.aligned_leader_brand}"
             )
-        counts = (1,) * self.N if self.shop_counts is None else self.shop_counts
+        counts = self.shop_counts
+        if counts is None:
+            try:
+                counts = (1,) * self.N
+            except MemoryError:
+                raise ConfigurationError(
+                    f"N = {self.N} brands need more memory than is available"
+                ) from None
         object.__setattr__(self, "shop_counts", check_shop_counts(counts, self.N))
         # a sweep draws its shop events' uniforms as one (events, 4) array
         if self.shop_teach_rate > 0.0:

@@ -21,7 +21,7 @@ import numpy as np
 from .config import SimConfig
 from .dynamics import KernelParams, sweep
 from .errors import ConfigurationError
-from .metrics import TimeSeriesRecord, fluctuation, snapshot
+from .metrics import TimeSeriesRecord, _surely_dispersed, fluctuation, snapshot
 from .model import Population, init_population
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -62,6 +62,12 @@ def run(cfg: SimConfig) -> RunResult:
     final sweep (without duplicating a record that falls on both).
     ``converged_at`` is the first sweep whose dispersion dropped below
     ``epsilon``, or None when the run never converged.
+
+    The full dispersion (:func:`fluctuation`) is computed at t=0, on every
+    record sweep, and on any other sweep that :func:`_surely_dispersed`
+    cannot certify.  A certified sweep has a dispersion of at least
+    ``epsilon``, so it neither records nor converges: skipping the full pass
+    there leaves every record and ``converged_at`` exactly as they were.
     """
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(cfg, rng)
@@ -77,9 +83,12 @@ def run(cfg: SimConfig) -> RunResult:
     converged_at = None
     while pop.t < cfg.max_sweeps:
         sweep(pop, cfg.mode, params, rng)
+        record = pop.t == cfg.max_sweeps or pop.t % cfg.record_every == 0
+        if not record and _surely_dispersed(pop, cfg.epsilon):
+            continue
         f = fluctuation(pop)
         converged = f < cfg.epsilon
-        if converged or pop.t == cfg.max_sweeps or pop.t % cfg.record_every == 0:
+        if converged or record:
             records.append(snapshot(pop, f))
         if converged:
             converged_at = pop.t

@@ -1,4 +1,12 @@
-"""Observables: wish dispersion, brand shares, dominance, convergence."""
+"""Observables: wish dispersion, brand shares, dominance, convergence.
+
+The wish dispersion (:func:`fluctuation`) costs a full pass over the K x S
+wish matrix.  :func:`brandsim.harness.run` pays it at t=0, on every record
+sweep, and on any other sweep where :func:`_surely_dispersed` cannot prove
+from a few row pairs that the dispersion is still at least ``epsilon``.  A
+sweep so proven is neither recorded nor converged, so skipping the full
+pass there changes no output.
+"""
 
 from __future__ import annotations
 
@@ -51,6 +59,32 @@ def fluctuation(pop: Population) -> float:
     if value < 1e-24 and (w == w[0]).all():
         return 0.0
     return value
+
+
+#: Row pairs the dispersion certificate sums over, at most.
+_CERTIFICATE_PAIRS = 32
+
+
+def _surely_dispersed(pop: Population, epsilon: float) -> bool:
+    """True only when ``fluctuation(pop) >= epsilon`` is certain; False says nothing.
+
+    By the pair identity, the dispersion is the sum over all K(K-1)/2
+    unordered customer pairs of their mean squared slot distance, divided
+    by the pair count.  The same sum over m = min(K//2, 32) distinct pairs,
+    rows i and K-m+i, divided by the same count, is therefore a lower bound.
+    The certificate holds when that bound is at least ``2 * epsilon``, a
+    margin that covers every rounding of both sums, and at least 1e-300,
+    far above the subnormal range, where rounding is absolute and the full
+    dispersion's smaller squared deviations can underflow to zero.  Wishes
+    lie in [0, 1], so the bound is at most 1 and an ``epsilon`` of inf or
+    near the float maximum never certifies.
+    """
+    K = pop.num_customers
+    m = min(K // 2, _CERTIFICATE_PAIRS)
+    w = pop.wish_matrix
+    d = w[:m] - w[K - m:]
+    bound = float(np.einsum("ks,ks->", d, d)) / (pop.schema.total_slots * (K * (K - 1) // 2))
+    return bound >= 2.0 * epsilon and bound >= 1e-300
 
 
 def brand_shares(pop: Population) -> np.ndarray:

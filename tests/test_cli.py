@@ -39,6 +39,18 @@ def test_sweep_writes_one_summary_per_value(tmp_path, capsys):
     assert "wrote 2 summaries" in capsys.readouterr().out
 
 
+def test_sweep_parallel_writes_the_serial_bytes(tmp_path):
+    path = write_config(tmp_path, TINY)
+    written = []
+    for parallel in ("1", "2"):
+        out = tmp_path / f"p{parallel}"
+        code = cli.main(["sweep", "--config", path, "--param", "p_copy", "--values", "0.5,1",
+                         "--runs", "3", "--parallel", parallel, "--out", str(out)])
+        assert code == cli.EXIT_OK
+        written.append([(out / f"sweep_p_copy_{i}.txt").read_bytes() for i in range(2)])
+    assert written[0] == written[1]
+
+
 def test_run_rejects_infinite_shop_rate(tmp_path, capsys):
     path = write_config(tmp_path, TINY + "shop_teach_rate = inf\n")
     code = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandsim import ConfigurationError, Mode, SimConfig, load_config, parse_config_text
 
@@ -169,6 +171,71 @@ class TestParsing:
         with pytest.raises(ConfigurationError) as exc:
             parse_config_text(MINIMAL.replace("equality", "anarchy"))
         assert "mode" in str(exc.value)
+
+    def test_n_beyond_memory_is_config_error(self):
+        # the default shop counts would be a tuple of 10**17 entries, which the
+        # allocator refuses at once
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config_text("N = 100000000000000000\nK = 2\nM = 1\n"
+                              "mode = equality\nseed = 1\n")
+        assert "N" in str(exc.value)
+
+
+# no decimal digit of any script, so int() never parses it into a size
+_no_digits = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+_ints = st.integers(min_value=-(10**40), max_value=10**40)
+_floats = st.one_of(st.floats(), st.sampled_from(["nan", "inf", "-inf", "1e400", "0x1p-3"]))
+_probability = st.floats(min_value=0.0, max_value=1.0)
+# per key: (values that are often valid, anything of the right kind); N sizes the
+# default shop counts, so it stays small or so large that no allocation is tried
+_VALUES = {
+    "N": (st.integers(1, 4), st.one_of(st.integers(-3, 300),
+                                       st.sampled_from([10**17, 10**18, 10**30]))),
+    "K": (st.integers(2, 30), _ints),
+    "M": (st.integers(1, 5), _ints),
+    "mode": (st.sampled_from(["equality", "Hierarchy"]), st.just("anarchy")),
+    "seed": (st.integers(0, 2**64 - 1), st.integers(-2, 2**65)),
+    "p_copy": (_probability, _floats),
+    "p_unknown": (_probability, _floats),
+    "leader_count": (st.integers(0, 3), _ints),
+    "leader_pupils": (st.integers(0, 3), _ints),
+    "aligned_leader_brand": (st.integers(0, 3), _ints),
+    "shop_counts": (st.lists(st.integers(1, 3), min_size=1, max_size=4),
+                    st.lists(_ints, min_size=1, max_size=6)),
+    "shop_teach_rate": (st.floats(min_value=0.0, max_value=10.0), _floats),
+    "epsilon": (st.floats(min_value=1e-300, max_value=1.0), _floats),
+    "max_sweeps": (st.integers(1, 100), _ints),
+    "record_every": (st.integers(1, 100), _ints),
+}
+_REQUIRED = ("N", "K", "M", "mode", "seed")
+
+
+@st.composite
+def config_texts(draw):
+    """Config files with any subset of keys, odd values and stray lines."""
+    lines = []
+    for key, (usual, wild) in _VALUES.items():
+        if key in _REQUIRED and draw(st.integers(0, 19)) or draw(st.booleans()):
+            kind = draw(st.integers(0, 19))
+            value = draw(usual if kind > 1 else wild if kind else _no_digits)
+            if isinstance(value, list):
+                value = ", ".join(map(str, value))
+            lines.append(f"{key} = {value}")
+    if not draw(st.integers(0, 9)):
+        lines.append(draw(_no_digits))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+class TestParseAnyText:
+    @settings(max_examples=300, deadline=None)
+    @given(config_texts())
+    def test_config_or_configuration_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except ConfigurationError:
+            return
+        assert isinstance(cfg, SimConfig)
+        assert len(cfg.shop_counts) == cfg.N
 
 
 class TestLoadConfig:

@@ -16,6 +16,7 @@ from brandsim import (
     emit_csv,
     emit_summary,
     ensemble,
+    fluctuation,
     run,
     sweep_param,
 )
@@ -190,6 +191,28 @@ class TestRunStats:
         r = run(c)
         assert r.converged_at == converged_at
         assert harness._run_stats(c) == (r.converged_at, r.records[-1].dominant)
+
+
+class TestDispersionSkip:
+    def test_unrecorded_sweeps_skip_the_full_dispersion(self, monkeypatch):
+        c = cfg(N=3, K=50, M=5, seed=11, max_sweeps=80)
+        every = run(c)
+        calls = []
+        monkeypatch.setattr(harness, "fluctuation",
+                            lambda pop: calls.append(pop.t) or fluctuation(pop))
+        sparse = run(dataclasses.replace(c, record_every=80))
+        assert every.converged_at is None and sparse.converged_at is None
+        assert sparse.records[-1] == every.records[-1]
+        assert [r.t for r in sparse.records] == [0, 80]
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("record_every", [7, 500])
+    def test_converged_at_and_last_record_unchanged(self, record_every):
+        c = cfg(N=3, K=8, M=2, seed=3, max_sweeps=500)
+        every = run(c)
+        sparse = run(dataclasses.replace(c, record_every=record_every))
+        assert every.converged_at == sparse.converged_at == 32
+        assert sparse.records[-1] == every.records[-1]
 
 
 class TestSweepParam:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandsim import (
     ConfigurationError,
@@ -7,15 +11,18 @@ from brandsim import (
     Mode,
     NeedSchema,
     Population,
+    SimConfig,
     TimeSeriesRecord,
     brand_shares,
     consensus_reached,
     distance,
     dominant_brand,
     fluctuation,
+    init_population,
     snapshot,
     sweep,
 )
+from brandsim.metrics import _surely_dispersed
 
 
 def make_population(rng, K=5, N=2, jmax=(2, 3), p_unknown=0.2):
@@ -167,6 +174,85 @@ class TestConsensus:
         for _ in range(100):
             sweep(pop, Mode.EQUALITY, params, rng)
             assert fluctuation(pop) == f0
+
+
+_TINIEST = 5e-324  # the smallest subnormal, one unit of the subnormal range
+
+# a gap whose square is one to three subnormal units: the certificate squares
+# the gap, the full dispersion squares half of it, and the two round apart
+_gaps = st.one_of(
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.floats(min_value=1.0, max_value=3.0).map(lambda u: math.sqrt(u) * math.sqrt(_TINIEST)),
+)
+
+
+@st.composite
+def near_consensus(draw):
+    """Identical rows with a few cells moved by one gap, and an epsilon.
+
+    The rows start all unknown half of the time, as at ``p_unknown = 1``, and
+    a move shifts either one cell or a whole row.
+    """
+    jmax = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    schema = NeedSchema(tuple(jmax))
+    S = schema.total_slots
+    K = draw(st.one_of(st.just(2), st.integers(3, 9)))
+    row = draw(st.one_of(
+        st.just([0.0] * S),
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0)),
+                 min_size=S, max_size=S),
+    ))
+    wish = np.tile(np.array(row), (K, 1))
+    gap = draw(_gaps)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, K - 1))
+        cols = draw(st.one_of(st.just(range(S)), st.integers(0, S - 1).map(lambda s: [s])))
+        for s in cols:
+            up = wish[k, s] + gap
+            wish[k, s] = up if up <= 1.0 else max(wish[k, s] - gap, 0.0)
+    pop = Population(schema, wish, np.zeros(K), np.ones((1, S)), (1,))
+    eps = draw(st.one_of(
+        st.sampled_from([_TINIEST, 1e-300, 1e-12, 0.01, 1e308, math.inf]),
+        st.floats(min_value=_TINIEST, max_value=1.0),
+    ))
+    return pop, eps
+
+
+class TestSurelyDispersed:
+    @settings(max_examples=500, deadline=None)
+    @given(near_consensus())
+    def test_certificate_implies_dispersion(self, case):
+        pop, eps = case
+        f = fluctuation(pop)
+        # the certificate is monotone in epsilon, so the tightest test is just above f
+        for e in (eps, math.nextafter(f, math.inf)):
+            if _surely_dispersed(pop, e):
+                assert f >= e
+
+    @pytest.mark.parametrize("K", [2, 3, 50, 2000])
+    def test_holds_on_a_fresh_population(self, K):
+        cfg = SimConfig(N=3, K=K, M=5, mode=Mode.EQUALITY, seed=K)
+        assert _surely_dispersed(init_population(cfg, np.random.default_rng(K)), cfg.epsilon)
+
+    @pytest.mark.parametrize("rows", [
+        # the pair sum rounds one unit above the full dispersion
+        [[1.0], [0.3333434140297783]],
+        # the pair sum squares to two subnormal units, the mean deviations to zero
+        [[0.0], [math.sqrt(1.7) * math.sqrt(_TINIEST)]],
+    ], ids=["rounding", "subnormal"])
+    def test_silent_just_above_the_dispersion(self, rows):
+        pop = Population(NeedSchema((1,)), rows, np.zeros(2), [[1.0]], (1,))
+        f = fluctuation(pop)
+        assert not _surely_dispersed(pop, math.nextafter(f, math.inf))
+
+    def test_never_certifies_consensus_or_huge_epsilon(self):
+        rng = np.random.default_rng(13)
+        pop = make_population(rng, K=8)
+        for eps in (1e308, math.inf):
+            assert not _surely_dispersed(pop, eps)
+        same = Population(pop.schema, np.tile(pop.wish_matrix[0], (8, 1)), np.zeros(8),
+                          pop.assortment_matrix, pop.shop_counts)
+        assert not _surely_dispersed(same, _TINIEST)
 
 
 class TestDominantBrand:
