@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigurationError
-from .harness import _fmt, emit_csv, emit_summary, ensemble, run, sweep_param
+from .harness import _SWEEPABLE, _fmt, emit_csv, emit_summary, ensemble, run, sweep_param
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p = sub.add_parser("sweep", help="ensemble per value of one parameter")
     sw_p.add_argument("--config", required=True)
     sw_p.add_argument("--param", required=True,
-                      help="one of: p_copy, leader_count, shop_teach_rate, K, N, p_unknown")
+                      help="one of: " + ", ".join(_SWEEPABLE))
     sw_p.add_argument("--values", required=True, help="comma-separated list of values")
     sw_p.add_argument("--runs", type=int, default=1)
     sw_p.add_argument("--out", default=".")

@@ -2,22 +2,23 @@
 
 A config file is flat UTF-8 text, one ``key = value`` per line, with ``#``
 starting a comment.  Keys are exactly the :class:`SimConfig` field names;
-unknown or duplicate keys are errors.  ``N``, ``K``, ``M``, ``mode`` and
-``seed`` are required, everything else falls back to the documented default.
+unknown or duplicate keys are errors.  The field annotations define each
+key's type in the file (a ``tuple[int, ...]`` is a comma list; ``None`` is
+written by leaving the key out).  The keys of fields without a default are
+required, everything else falls back to the documented default.
 """
 
 from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .dynamics import KernelParams, Mode, shop_event_count
 from .errors import ConfigurationError
 from .model import MAX_SUBENTRIES, check_shop_counts
 
-_MODE_NAMES = {"equality": Mode.EQUALITY, "hierarchy": Mode.HIERARCHY}
 _MAX_SEED = (1 << 64) - 1
 
 
@@ -42,13 +43,10 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("N", "K", "M", "seed", "leader_count", "leader_pupils",
-                     "max_sweeps", "record_every"):
-            _coerce_int(self, name)
-        for name in ("p_copy", "p_unknown", "shop_teach_rate", "epsilon"):
-            _coerce_float(self, name)
-        if self.aligned_leader_brand is not None:
-            _coerce_int(self, "aligned_leader_brand")
+        for name, (_, coerce, optional) in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if coerce is not None and not (optional and value is None):
+                object.__setattr__(self, name, coerce(name, value))
         if not isinstance(self.mode, Mode):
             raise ConfigurationError(f"mode must be a Mode value, got {self.mode!r}")
         if self.N < 1:
@@ -66,7 +64,7 @@ class SimConfig:
         if not 0 <= self.seed <= _MAX_SEED:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
         # the kernel rates' own checks live in KernelParams; only the K-dependent ones stay here
-        KernelParams(self.p_copy, self.leader_pupils, self.shop_teach_rate)
+        self.kernel_params()
         if not 0.0 <= self.p_unknown <= 1.0:
             raise ConfigurationError(
                 f"p_unknown must lie in [0, 1], got {self.p_unknown}"
@@ -121,19 +119,21 @@ class SimConfig:
                 f"record_every must be >= 1, got {self.record_every}"
             )
 
+    def kernel_params(self) -> KernelParams:
+        """The rates of the three influence channels, as the kernels take them."""
+        return KernelParams(self.p_copy, self.leader_pupils, self.shop_teach_rate)
 
-def _coerce_int(cfg: SimConfig, name: str) -> None:
-    value = getattr(cfg, name)
+
+def _coerce_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(cfg, name, int(value))
+    return int(value)
 
 
-def _coerce_float(cfg: SimConfig, name: str) -> None:
-    value = getattr(cfg, name)
+def _coerce_float(name: str, value) -> float:
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    object.__setattr__(cfg, name, float(value))
+    return float(value)
 
 
 def _parse_int(key: str, text: str) -> int:
@@ -151,40 +151,35 @@ def _parse_float(key: str, text: str) -> float:
 
 
 def _parse_mode(key: str, text: str) -> Mode:
-    mode = _MODE_NAMES.get(text.strip().lower())
-    if mode is None:
+    try:
+        return Mode(text.strip().lower())
+    except ValueError:
         raise ConfigurationError(
-            f"{key} must be one of {sorted(_MODE_NAMES)}, got {text!r}"
-        )
-    return mode
+            f"{key} must be one of {sorted(m.value for m in Mode)}, got {text!r}"
+        ) from None
 
 
 def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, part.strip()) for part in text.split(","))
 
 
-_PARSERS = {
-    "N": _parse_int,
-    "K": _parse_int,
-    "M": _parse_int,
-    "mode": _parse_mode,
-    "seed": _parse_int,
-    "p_copy": _parse_float,
-    "p_unknown": _parse_float,
-    "leader_count": _parse_int,
-    "leader_pupils": _parse_int,
-    "aligned_leader_brand": _parse_int,
-    "shop_counts": _parse_int_list,
-    "shop_teach_rate": _parse_float,
-    "epsilon": _parse_float,
-    "max_sweeps": _parse_int,
-    "record_every": _parse_int,
+# per annotation, less any "| None": the config-file parser and the coercion
+# SimConfig applies to a constructor value (None where its own checks do that)
+_KINDS = {
+    "int": (_parse_int, _coerce_int),
+    "float": (_parse_float, _coerce_float),
+    "Mode": (_parse_mode, None),
+    "tuple[int, ...]": (_parse_int_list, None),
 }
+# per field: its parser, its coercion and whether it admits None; an
+# annotation that no parser reads fails here, at import
+_FIELD_KINDS = {f.name: (*_KINDS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+                for f in fields(SimConfig)}
 
-_REQUIRED = ("N", "K", "M", "mode", "seed")
 
-# the parser table and the dataclass must stay in sync
-assert set(_PARSERS) == {f.name for f in fields(SimConfig)}
+def parse_value(key: str, text: str):
+    """Parse one config-file value for ``key``, as a ``key = value`` line would."""
+    return _FIELD_KINDS[key][0](key, text)
 
 
 def parse_config_text(text: str) -> SimConfig:
@@ -201,14 +196,15 @@ def parse_config_text(text: str) -> SimConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PARSERS:
+        if key not in _FIELD_KINDS:
             raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
         if key in entries:
             raise ConfigurationError(f"line {lineno}: duplicate config key {key!r}")
         if not value:
             raise ConfigurationError(f"line {lineno}: empty value for {key!r}")
-        entries[key] = _PARSERS[key](key, value)
-    missing = [key for key in _REQUIRED if key not in entries]
+        entries[key] = parse_value(key, value)
+    missing = [f.name for f in fields(SimConfig)
+               if f.default is MISSING and f.name not in entries]
     if missing:
         raise ConfigurationError(f"missing required config keys: {', '.join(missing)}")
     return SimConfig(**entries)
@@ -217,7 +213,8 @@ def parse_config_text(text: str) -> SimConfig:
 def load_config(path) -> SimConfig:
     """Read and validate a config file; missing files raise the usual OSError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig also reads the byte-order mark some editors write first
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

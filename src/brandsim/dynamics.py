@@ -269,8 +269,6 @@ def pair_step(
     higher-ranked with probability ``p_copy`` times the rank gap, so equal
     ranks never copy.
     """
-    if pop.num_customers < 2:
-        raise ConfigurationError("pair interactions require K >= 2")
     log: list[PairEvent] = []
     _run_pair_events(pop, mode, params, rng.random(5), log)
     return log[0]
@@ -354,10 +352,7 @@ def sweep(
     recomputes them, and increments ``t``.  When ``event_log`` is a list,
     one :class:`PairEvent` per pair interaction is appended to it.
     """
-    K = pop.num_customers
-    if K < 2:
-        raise ConfigurationError("sweep requires K >= 2")
-    _run_pair_events(pop, mode, params, rng.random(5 * K), event_log)
+    _run_pair_events(pop, mode, params, rng.random(5 * pop.num_customers), event_log)
     leader_step(pop, params, rng)
     shop_step(pop, params, rng)
     refresh_affiliations(pop)

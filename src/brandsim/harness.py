@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import SimConfig
-from .dynamics import KernelParams, sweep
+from .config import SimConfig, parse_value
+from .dynamics import sweep
 from .errors import ConfigurationError
 from .metrics import TimeSeriesRecord, _surely_dispersed, fluctuation, snapshot
 from .model import Population, init_population
@@ -71,11 +71,7 @@ def run(cfg: SimConfig) -> RunResult:
     """
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(cfg, rng)
-    params = KernelParams(
-        p_copy=cfg.p_copy,
-        leader_pupils=cfg.leader_pupils,
-        shop_teach_rate=cfg.shop_teach_rate,
-    )
+    params = cfg.kernel_params()
     f = fluctuation(pop)
     records = [snapshot(pop, f)]
     if f < cfg.epsilon:
@@ -150,14 +146,7 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     )
 
 
-_SWEEPABLE = {
-    "p_copy": float,
-    "leader_count": int,
-    "shop_teach_rate": float,
-    "K": int,
-    "N": int,
-    "p_unknown": float,
-}
+_SWEEPABLE = ("p_copy", "leader_count", "shop_teach_rate", "K", "N", "p_unknown")
 
 
 def sweep_param(
@@ -170,25 +159,21 @@ def sweep_param(
     """One ensemble per value of a single swept parameter, same base seed.
 
     Sweeping ``N`` resets ``shop_counts`` to its default, all ones of the
-    new length, since the configured vector cannot carry over.  Values
-    invalid for the key surface as configuration errors.
+    new length, since the configured vector cannot carry over.  A string is
+    parsed as a config-file value; any other value goes to :class:`SimConfig`
+    as given, so ``3.7`` for ``K`` is an error, not 3.
     """
     if param_name not in _SWEEPABLE:
         raise ConfigurationError(f"unknown sweep parameter {param_name!r}")
-    coerce = _SWEEPABLE[param_name]
     out = []
     for value in values:
-        try:
-            coerced = coerce(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"invalid value {value!r} for sweep parameter {param_name!r}"
-            ) from None
-        changes: dict = {param_name: coerced}
+        if isinstance(value, str):
+            value = parse_value(param_name, value)
+        changes: dict = {param_name: value}
         if param_name == "N":
             changes["shop_counts"] = None
         swept = dataclasses.replace(cfg, **changes)
-        out.append((coerced, ensemble(swept, runs, parallel)))
+        out.append((getattr(swept, param_name), ensemble(swept, runs, parallel)))
     return out
 
 

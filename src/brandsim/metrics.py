@@ -50,8 +50,6 @@ def fluctuation(pop: Population) -> float:
     pins the zero.
     """
     K = pop.num_customers
-    if K < 2:
-        raise ConfigurationError("fluctuation requires K >= 2")
     w = pop.wish_matrix
     dev = w - w.mean(axis=0)
     ss = float(np.einsum("ks,ks->", dev, dev))

@@ -285,10 +285,6 @@ def init_population(cfg: "SimConfig", rng: np.random.Generator) -> Population:
     exactly 1; if ``aligned_leader_brand`` is set their wishes are replaced
     by that brand's assortment.  No further draws are consumed.
     """
-    if cfg.leader_count >= cfg.K:
-        raise ConfigurationError(
-            f"leader_count must stay below K, got {cfg.leader_count} >= {cfg.K}"
-        )
     schema = init_schema(cfg.M, rng)
     S = schema.total_slots
     assort = 1.0 - rng.random((cfg.N, S))

@@ -2,8 +2,11 @@ import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandsim import cli, emit_summary, ensemble, load_config
+from brandsim.harness import _SWEEPABLE
 
 TINY = "N = 2\nK = 6\nM = 2\nmode = equality\nseed = 5\nmax_sweeps = 20\n"
 
@@ -114,3 +117,69 @@ def test_run_rejects_size_beyond_index_range(tmp_path, capsys, key):
     assert code == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "tiny.cfg").write_text(TINY, encoding="utf-8")
+    (root / "garbage.cfg").write_bytes(b"K = many\n\xff = =\nmode\n")
+    return root
+
+
+# no decimal digit, so a junk token never becomes a size, and no dash, so it never
+# names a flag whose value could leave the test's directory; an OS argv holds no NUL
+_junk = st.text(st.characters(blacklist_categories=("Cs", "Nd"), blacklist_characters="\x00-"),
+                max_size=6)
+
+_FLAGS = {
+    "run": ("--config", "--seed", "--out"),
+    "ensemble": ("--config", "--runs", "--seed", "--out", "--parallel"),
+    "sweep": ("--config", "--param", "--values", "--runs", "--out", "--parallel"),
+}
+
+
+def argvs(root):
+    """Real subcommands and flags with small values, mixed with junk tokens
+    and flags of other subcommands.  Every output path lies under ``root``, and
+    ``--parallel`` stays at most 1, so no process pool starts."""
+    values = {
+        "--config": st.sampled_from([str(root / name) for name in
+                                     ("tiny.cfg", "garbage.cfg", "missing.cfg")] + [str(root)]),
+        "--runs": st.sampled_from(["1", "2", "3", "0", "-1", "x"]),
+        "--parallel": st.sampled_from(["1", "0", "-1", "x"]),
+        "--seed": st.sampled_from(["0", "7", "-1", str(2**64), "x"]),
+        "--param": st.sampled_from(_SWEEPABLE + ("epsilon", "mode")),
+        "--values": st.sampled_from(["4,6", "0.5,1", "4.5", "2", "1", "0", "", "x", "1,,"]),
+        "--out": st.sampled_from([str(root / "out"), str(root / "tiny.cfg")]),
+    }
+
+    def options(flags):
+        return st.sampled_from(flags).flatmap(
+            lambda flag: values[flag].map(lambda value: [flag, value]))
+
+    stray = (options(sorted(values)) | st.sampled_from(["-h", "--help", "--bogus", "--"])
+             .map(lambda t: [t]) | _junk.map(lambda t: [t]))
+
+    def tokens(command):
+        # one token group in ten is stray, so most lists get past the parser
+        group = st.integers(0, 9).flatmap(
+            lambda i: stray if i == 0 else options(_FLAGS.get(command, ("--config",))))
+        # the first --out keeps the default (the working directory) out of reach
+        return st.lists(group, max_size=8).map(lambda groups: [
+            command, "--out", str(root / "out")] + [token for g in groups for token in g])
+
+    command = st.integers(0, 9).flatmap(
+        lambda i: _junk if i == 0 else st.sampled_from(sorted(_FLAGS)))
+    return command.flatmap(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_2_or_3(fuzz_dir, data):
+    argv = data.draw(argvs(fuzz_dir))
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,12 +240,72 @@ class TestParseAnyText:
         assert len(cfg.shop_counts) == cfg.N
 
 
+@st.composite
+def sim_configs(draw):
+    """Any valid SimConfig with small N, K and M."""
+    N = draw(st.integers(1, 4))
+    K = draw(st.integers(2, 30))
+    leader_count = draw(st.integers(0, K - 1))
+    rate = draw(st.just(0.0) | st.floats(0.0, 10.0))
+    # at rate 0 no shop event is drawn, so any count is valid
+    max_count = 10**30 if rate == 0.0 else 10**6
+    return SimConfig(
+        N=N,
+        K=K,
+        M=draw(st.integers(1, 5)),
+        mode=draw(st.sampled_from(Mode)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        p_copy=draw(st.floats(0.0, 1.0)),
+        p_unknown=draw(st.floats(0.0, 1.0)),
+        leader_count=leader_count,
+        leader_pupils=draw(st.integers(0, K - max(leader_count, 1))),
+        aligned_leader_brand=draw(st.none() | st.integers(0, N - 1)),
+        shop_counts=draw(st.none() | st.lists(st.integers(1, max_count), min_size=N,
+                                              max_size=N).map(tuple)),
+        shop_teach_rate=rate,
+        epsilon=draw(st.floats(0.0, exclude_min=True)),
+        max_sweeps=draw(st.integers(1, 10**9)),
+        record_every=draw(st.integers(1, 10**9)),
+    )
+
+
+def config_lines(cfg):
+    """``cfg`` as config-file lines: no line for a None, repr for a number."""
+    lines = []
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        if isinstance(value, Mode):
+            text = value.value
+        elif isinstance(value, tuple):
+            text = ", ".join(map(repr, value))
+        else:
+            text = repr(value)
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines)
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(sim_configs())
+    def test_written_config_parses_back_equal(self, cfg):
+        assert parse_config_text(config_lines(cfg)) == cfg
+
+
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sim.cfg"
         path.write_text(MINIMAL, encoding="utf-8")
         cfg = load_config(path)
         assert cfg == parse_config_text(MINIMAL)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("N = 3\nK = 20\nM = 4\nmode = equality\nseed = 1234\n",
+                        encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfN = 3")
+        assert load_config(path) == parse_config_text(MINIMAL)
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):

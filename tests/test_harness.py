@@ -258,6 +258,19 @@ class TestSweepParam:
         rows = sweep_param(cfg(max_sweeps=5), "p_copy", ["0.25"], runs=1)
         assert rows[0][0] == 0.25
 
+    @pytest.mark.parametrize("key,value", [("K", 3.7), ("leader_count", 1.9),
+                                           ("p_copy", True)])
+    def test_wrong_type_is_rejected_not_truncated(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            sweep_param(cfg(max_sweeps=5), key, [value])
+
+    def test_integer_string_parsed_as_in_a_config_file(self):
+        rows = sweep_param(cfg(max_sweeps=5), "K", ["4"])
+        assert rows[0][0] == 4 and type(rows[0][0]) is int
+        assert rows == sweep_param(cfg(max_sweeps=5), "K", [4])
+        with pytest.raises(ConfigurationError, match="K"):
+            sweep_param(cfg(max_sweeps=5), "K", ["4.5"])
+
 
 class TestEmitCsv:
     def test_empty_records_header_only(self):

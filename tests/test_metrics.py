@@ -89,14 +89,6 @@ class TestFluctuation:
         )
         assert fluctuation(shuffled) == pytest.approx(fluctuation(pop), rel=1e-12)
 
-    def test_rejects_tiny_population(self):
-        # Population itself enforces K >= 2, so check the guard directly
-        rng = np.random.default_rng(5)
-        pop = make_population(rng, K=2)
-        pop.wish_matrix = pop.wish_matrix[:1]
-        with pytest.raises(ConfigurationError):
-            fluctuation(pop)
-
 
 class TestBrandShares:
     def test_single_brand(self):

@@ -250,12 +250,6 @@ class TestInitPopulation:
         for k in pop.leader_ids:
             assert np.array_equal(pop.wish_matrix[k], pop.assortment_matrix[1])
 
-    def test_leader_count_at_k_rejected(self):
-        cfg = self.cfg()
-        object.__setattr__(cfg, "leader_count", cfg.K)  # bypass SimConfig validation
-        with pytest.raises(ConfigurationError):
-            init_population(cfg, np.random.default_rng(6))
-
     def test_affiliations_are_argmin(self):
         pop = init_population(self.cfg(), np.random.default_rng(7))
         assert list(pop.affiliations) == nearest_by_scan(pop)
