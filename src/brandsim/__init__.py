@@ -10,7 +10,6 @@ from .dynamics import (
     KernelParams,
     Mode,
     PairEvent,
-    copy_entry,
     leader_step,
     pair_step,
     shop_event_count,
@@ -40,7 +39,6 @@ from .model import (
     BrandProfile,
     NeedSchema,
     Population,
-    WishProfile,
     distance,
     index_from_uniform,
     init_population,
@@ -62,10 +60,8 @@ __all__ = [
     "RunResult",
     "SimConfig",
     "TimeSeriesRecord",
-    "WishProfile",
     "brand_shares",
     "consensus_reached",
-    "copy_entry",
     "derive_child_seed",
     "distance",
     "dominant_brand",

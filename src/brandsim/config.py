@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .dynamics import KernelParams, Mode, shop_event_count
 from .errors import ConfigurationError
-from .model import MAX_SUBENTRIES, check_shop_counts
+from .model import MAX_SUBENTRIES, _coerce_int, check_shop_counts
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -122,12 +122,6 @@ class SimConfig:
     def kernel_params(self) -> KernelParams:
         """The rates of the three influence channels, as the kernels take them."""
         return KernelParams(self.p_copy, self.leader_pupils, self.shop_teach_rate)
-
-
-def _coerce_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _coerce_float(name: str, value) -> float:

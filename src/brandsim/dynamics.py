@@ -15,18 +15,18 @@ channel applies it to whole arrays of uniforms at once through
 ``brandsim.model._bounded_indices``, which performs the same IEEE
 operations.  Consumption per operation:
 
-* ``copy_entry``: 3 uniforms (need pick, slot pick, acceptance coin), all
-  consumed even when the event is a no-op.
+* the copy triple: 3 uniforms (need pick, slot pick, acceptance coin) per
+  slot-copy event, all consumed even when the event is a no-op.
 * ``pair_step``: 5 uniforms (learner pick over K, partner pick over the
   remaining K-1 with indexes at or above the first shifted up by one, then
-  the copy_entry triple).
+  the copy triple).
 * ``leader_step``: per leader in ascending customer id, ``leader_pupils``
   selection uniforms driving a partial Fisher-Yates shuffle over the
-  non-leader ids in ascending order, then one copy_entry triple per chosen
+  non-leader ids in ascending order, then one copy triple per chosen
   pupil in selection order.  No leaders or zero pupils consume nothing.
 * ``shop_step``: per brand in ascending id, ``round(shop_teach_rate *
   shop_count)`` events (Python banker's rounding) of 4 uniforms each
-  (customer pick plus the copy_entry triple).  A rate of 0 consumes nothing.
+  (customer pick plus the copy triple).  A rate of 0 consumes nothing.
 * ``sweep``: K pair events, then ``leader_step``, then ``shop_step``, then
   an affiliation refresh (no draws) and the time increment.  The refresh
   only marks affiliations stale; the next read recomputes them.
@@ -45,7 +45,6 @@ from .errors import ConfigurationError
 from .model import (
     NeedSchema,
     Population,
-    WishProfile,
     _bounded_indices,
     refresh_affiliations,
 )
@@ -194,27 +193,6 @@ def _copy_rows(
     dst_idx = learner[hit] * S + flat
     src_idx = source[hit] * S + flat
     return hit[_apply_copies(dst.reshape(-1), src.reshape(-1), dst_idx, src_idx)]
-
-
-def copy_entry(
-    learner: WishProfile,
-    source,
-    rng: np.random.Generator,
-    p: float,
-) -> tuple[WishProfile, bool]:
-    """Copy one uniformly chosen slot from ``source`` into ``learner``.
-
-    The slot is drawn need-first (uniform over needs, then uniform over that
-    need's slots).  An unknown source slot never transmits.  Mutates
-    ``learner`` in place and returns it with a flag saying whether a copy
-    happened.
-    """
-    src = source.values if isinstance(source, WishProfile) else np.asarray(source, dtype=np.float64)
-    if src.shape != learner.values.shape:
-        raise ValueError(f"profile shapes differ: {learner.values.shape} vs {src.shape}")
-    row = np.zeros(1, dtype=np.int64)
-    copied = _copy_rows(learner.values, src, row, row, rng.random((1, 3)), p, learner.schema)
-    return learner, len(copied) > 0
 
 
 def _run_pair_events(

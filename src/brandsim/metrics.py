@@ -28,14 +28,15 @@ class TimeSeriesRecord:
     dominant: int
 
     def __post_init__(self) -> None:
-        if self.fluctuation < 0.0:
-            raise ValueError("fluctuation must be non-negative")
+        # written so that NaN fails every check
+        if not self.fluctuation >= 0.0:
+            raise ValueError(f"fluctuation must be non-negative, got {self.fluctuation!r}")
         total = sum(self.shares)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"shares must sum to 1, got {total!r}")
-        if any(s < 0.0 or s > 1.0 for s in self.shares):
+        if not all(0.0 <= s <= 1.0 for s in self.shares):
             raise ValueError("each share must lie in [0, 1]")
-        if self.dominant != max(range(len(self.shares)), key=lambda b: (self.shares[b], -b)):
+        if self.dominant != dominant_brand(self.shares):
             raise ValueError("dominant must be the argmax share, ties to smallest index")
 
 

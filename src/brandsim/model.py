@@ -1,4 +1,4 @@
-"""Core domain types: need schemas, wish profiles and the population arrays.
+"""Core domain types: need schemas and the arrays of a population.
 
 A customer's state is a ragged matrix of need-satisfaction values, stored
 flat: need ``i`` owns ``jmax[i]`` consecutive slots (at most five).  A slot
@@ -11,6 +11,7 @@ teaching weight.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -43,13 +44,21 @@ def _bounded_indices(u: np.ndarray, n) -> np.ndarray:
     return np.minimum((u * n).astype(np.int64), n - 1)
 
 
+def _coerce_int(name: str, value) -> int:
+    """``value`` as a Python int; anything but an integer (a bool, a float, a
+    string) is a :class:`ConfigurationError` naming ``name``, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_shop_counts(shop_counts: Sequence[int], N: int) -> tuple[int, ...]:
     """The shop counts as a tuple of Python ints: one per brand, each >= 1.
 
     A tuple rather than an int64 array, so a count too large for 64 bits
     stays valid wherever no shop event is drawn (a teaching rate of 0).
     """
-    counts = tuple(int(s) for s in shop_counts)
+    counts = tuple(_coerce_int("shop_counts entry", s) for s in shop_counts)
     if len(counts) != N:
         raise ConfigurationError(
             f"shop_counts must have one entry per brand (N={N}), got {len(counts)}"
@@ -66,7 +75,7 @@ class NeedSchema:
     jmax: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(j) for j in self.jmax)
+        counts = tuple(_coerce_int("jmax entry", j) for j in self.jmax)
         object.__setattr__(self, "jmax", counts)
         if len(counts) < 1:
             raise ConfigurationError("schema requires at least one need (M >= 1)")
@@ -95,33 +104,10 @@ class NeedSchema:
         return tuple(out)
 
 
-class WishProfile:
-    """A ragged needs matrix stored as one flat float array.
-
-    The array may be a view into a population-owned matrix, so writes
-    through either stay coherent.
-    """
-
-    __slots__ = ("values", "schema")
-
-    def __init__(self, values, schema: NeedSchema):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != (schema.total_slots,):
-            raise ValueError(
-                f"profile shape {arr.shape} does not match schema with "
-                f"{schema.total_slots} slots"
-            )
-        self.values = arr
-        self.schema = schema
-
-    def __repr__(self) -> str:
-        return f"WishProfile({self.values.tolist()}, {self.schema!r})"
-
-
 @dataclass
 class BrandProfile:
     id: int
-    assortment: WishProfile
+    assortment: np.ndarray
     shop_count: int
 
 
@@ -202,7 +188,7 @@ class Population:
     def brands(self) -> list[BrandProfile]:
         """One record per brand; ``assortment`` is a live view of its matrix row."""
         return [
-            BrandProfile(b, WishProfile(row, self.schema), count)
+            BrandProfile(b, row, count)
             for b, (row, count) in enumerate(zip(self.assortment_matrix, self.shop_counts))
         ]
 
@@ -223,12 +209,6 @@ class Population:
         )
 
 
-def _flat_values(x) -> np.ndarray:
-    if isinstance(x, WishProfile):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
-
-
 def distance(wish, assortment) -> float:
     """Mean squared slot difference between two same-shape profiles.
 
@@ -236,16 +216,10 @@ def distance(wish, assortment) -> float:
     penalised by the full assortment value.  Symmetric, and exactly zero
     iff the profiles are identical.
     """
-    x = _flat_values(wish)
-    y = _flat_values(assortment)
+    x = np.asarray(wish, dtype=np.float64)
+    y = np.asarray(assortment, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"profile shapes differ: {x.shape} vs {y.shape}")
-    if (
-        isinstance(wish, WishProfile)
-        and isinstance(assortment, WishProfile)
-        and wish.schema.jmax != assortment.schema.jmax
-    ):
-        raise ValueError("profiles belong to different schemas")
     d = x - y
     return float(np.mean(d * d))
 

@@ -97,6 +97,18 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             self.base(K=10.5)
 
+    @pytest.mark.parametrize("bad", [2.7, True, "3", 2.0])
+    def test_non_integer_shop_count_rejected_not_truncated(self, bad):
+        with pytest.raises(ConfigurationError) as exc:
+            self.base(shop_counts=(bad, 1))
+        assert "shop_counts" in str(exc.value)
+
+    def test_numpy_and_huge_shop_counts_accepted(self):
+        import numpy as np
+
+        cfg = self.base(shop_counts=(np.int64(3), 10**85))
+        assert cfg.shop_counts == (3, 10**85) and type(cfg.shop_counts[0]) is int
+
 
 class TestParsing:
     def test_minimal_file_applies_defaults(self):

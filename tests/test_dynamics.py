@@ -10,8 +10,6 @@ from brandsim import (
     Mode,
     NeedSchema,
     Population,
-    WishProfile,
-    copy_entry,
     distance,
     index_from_uniform,
     leader_step,
@@ -56,60 +54,60 @@ class TestKernelParams:
 
 
 class TestCopyEntry:
+    """The copy triple, seen through one pair event on a K=2 population."""
+
+    HIER = KernelParams(p_copy=1.0)
+
+    @staticmethod
+    def pair(rng, jmax, source_row=None):
+        """Customer 0 (rank 0) and customer 1 (rank 1), so under hierarchy 0
+        always learns from 1 with probability ``p_copy``."""
+        pop = make_population(rng, K=2, jmax=jmax, p_unknown=0.0, ranks=(0.0, 1.0))
+        if source_row is not None:
+            pop.wish_matrix[1] = source_row
+        return pop
+
     def test_zero_probability_never_copies(self):
         rng = np.random.default_rng(0)
-        schema = NeedSchema((2, 3))
-        learner = WishProfile(1.0 - rng.random(5), schema)
-        source = WishProfile(1.0 - rng.random(5), schema)
-        before = learner.values.copy()
+        pop = self.pair(rng, (2, 3))
+        before = pop.wish_matrix.copy()
         for _ in range(200):
-            _, copied = copy_entry(learner, source, rng, 0.0)
-            assert not copied
-        assert np.array_equal(learner.values, before)
+            assert not pair_step(pop, Mode.EQUALITY, KernelParams(p_copy=0.0), rng).copied
+        assert np.array_equal(pop.wish_matrix, before)
 
     def test_forced_copy_changes_exactly_one_slot(self):
         rng = np.random.default_rng(1)
-        schema = NeedSchema((3, 1, 2))
         for _ in range(100):
-            learner = WishProfile(1.0 - rng.random(6), schema)
-            source = WishProfile(1.0 - rng.random(6), schema)
-            before = learner.values.copy()
-            _, copied = copy_entry(learner, source, rng, 1.0)
-            assert copied
-            changed = np.flatnonzero(learner.values != before)
+            pop = self.pair(rng, (3, 1, 2))
+            before = pop.wish_matrix.copy()
+            ev = pair_step(pop, Mode.HIERARCHY, self.HIER, rng)
+            assert (ev.learner, ev.source) == (0, 1)
+            assert ev.copied
+            learner, source = pop.wish_matrix
+            assert np.array_equal(source, before[1])
+            changed = np.flatnonzero(learner != before[0])
             assert len(changed) <= 1
             # the touched slot now equals the source exactly
-            same = learner.values == source.values
-            assert same.any()
+            assert (learner == source).any()
             if len(changed) == 1:
-                assert learner.values[changed[0]] == source.values[changed[0]]
+                assert learner[changed[0]] == source[changed[0]]
 
     def test_unknown_source_never_transmits(self):
         rng = np.random.default_rng(2)
-        schema = NeedSchema((2, 2))
-        learner = WishProfile(1.0 - rng.random(4), schema)
-        source = WishProfile(np.zeros(4), schema)
-        before = learner.values.copy()
+        pop = self.pair(rng, (2, 2), source_row=0.0)
+        before = pop.wish_matrix.copy()
         for _ in range(10_000):
-            _, copied = copy_entry(learner, source, rng, 1.0)
-            assert not copied
-        assert np.array_equal(learner.values, before)
+            assert not pair_step(pop, Mode.HIERARCHY, self.HIER, rng).copied
+        assert np.array_equal(pop.wish_matrix, before)
 
     def test_consumes_three_uniforms_even_on_noop(self):
-        schema = NeedSchema((2,))
-        learner = WishProfile(np.array([0.5, 0.5]), schema)
-        source = WishProfile(np.zeros(2), schema)
+        # a pair event's two picks, then the copy triple, even when nothing copies
+        pop = self.pair(np.random.default_rng(0), (2,), source_row=0.0)
         r1 = np.random.default_rng(3)
         r2 = np.random.default_rng(3)
-        copy_entry(learner, source, r1, 1.0)
-        r2.random(3)
+        assert not pair_step(pop, Mode.HIERARCHY, self.HIER, r1).copied
+        r2.random(5)
         assert r1.bit_generator.state == r2.bit_generator.state
-
-    def test_shape_mismatch(self):
-        s1 = NeedSchema((2,))
-        learner = WishProfile(np.array([0.5, 0.5]), s1)
-        with pytest.raises(ValueError):
-            copy_entry(learner, np.zeros(3), np.random.default_rng(0), 1.0)
 
 
 class TestPairStep:

@@ -284,3 +284,11 @@ class TestTimeSeriesRecord:
             TimeSeriesRecord(t=0, fluctuation=0.1, shares=(0.5, 0.5), dominant=1)
         with pytest.raises(ValueError):
             TimeSeriesRecord(t=0, fluctuation=-0.1, shares=(1.0,), dominant=0)
+
+    @pytest.mark.parametrize(
+        "fluct,shares",
+        [(float("nan"), (0.5, 0.5)), (0.1, (float("nan"), 1.0)), (0.1, (1.0, float("nan")))],
+    )
+    def test_nan_rejected(self, fluct, shares):
+        with pytest.raises(ValueError):
+            TimeSeriesRecord(t=0, fluctuation=fluct, shares=shares, dominant=0)

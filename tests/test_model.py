@@ -9,7 +9,6 @@ from brandsim import (
     Population,
     SimConfig,
     Mode,
-    WishProfile,
     distance,
     index_from_uniform,
     init_population,
@@ -43,7 +42,7 @@ def nearest_by_scan(pop):
 def test_public_names_resolve():
     for name in brandsim.__all__:
         getattr(brandsim, name)
-    for gone in ("Customer", "assign_brand"):
+    for gone in ("Customer", "assign_brand", "WishProfile", "copy_entry"):
         assert gone not in brandsim.__all__
         assert not hasattr(brandsim, gone)
 
@@ -72,12 +71,24 @@ class TestNeedSchema:
         with pytest.raises(ConfigurationError):
             NeedSchema((1, bad))
 
+    @pytest.mark.parametrize("bad", [2.7, True, "3", np.float64(2.0)])
+    def test_rejects_non_integer_counts(self, bad):
+        with pytest.raises(ConfigurationError) as exc:
+            NeedSchema((1, bad))
+        assert "jmax" in str(exc.value)
+
+    def test_numpy_integer_counts_accepted(self):
+        s = NeedSchema(np.array([2, 3]))
+        assert s.jmax == (2, 3) and all(type(j) is int for j in s.jmax)
+
 
 class TestWishProfile:
     def test_shape_mismatch(self):
+        # a profile is a wish-matrix row, so its shape is checked by Population
         schema = NeedSchema((1, 2))
+        assort = np.full((1, 3), 0.5)
         with pytest.raises(ValueError):
-            WishProfile(np.zeros(4), schema)
+            Population(schema, np.zeros((2, 4)), np.zeros(2), assort, (1,))
 
     def test_validate(self):
         # wish values are checked where they are stored, by Population
@@ -88,53 +99,39 @@ class TestWishProfile:
             with pytest.raises(ValueError):
                 Population(schema, np.array([[bad, 0.2], [0.3, 0.2]]), np.zeros(2), assort, (1,))
 
-    def test_repr_round_trips_values(self):
-        w = WishProfile(np.array([0.5, 0.0, 0.25]), NeedSchema((1, 2)))
-        assert repr(w) == "WishProfile([0.5, 0.0, 0.25], NeedSchema(jmax=(1, 2)))"
-
 
 class TestDistance:
     def test_identity_is_exact_zero(self):
         rng = np.random.default_rng(0)
         schema = NeedSchema((3, 1, 4))
-        w = WishProfile(rng.random(schema.total_slots), schema)
+        w = rng.random(schema.total_slots)
         assert distance(w, w) == 0.0
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(1)
         schema = NeedSchema((2, 5))
         for _ in range(50):
-            x = WishProfile(rng.random(schema.total_slots), schema)
-            y = WishProfile(rng.random(schema.total_slots), schema)
+            x = rng.random(schema.total_slots)
+            y = rng.random(schema.total_slots)
             assert distance(x, y) == distance(y, x)
 
     def test_all_unknown_reduces_to_mean_square(self):
-        schema = NeedSchema((2, 3))
-        zero = WishProfile(np.zeros(5), schema)
-        a = WishProfile(np.array([0.2, 0.4, 0.6, 0.8, 1.0]), schema)
+        zero = np.zeros(5)
+        a = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
         expected = sum(v * v for v in [0.2, 0.4, 0.6, 0.8, 1.0]) / 5
         assert distance(zero, a) == pytest.approx(expected, rel=1e-15)
 
     def test_hand_worked_example(self):
-        # independent scalar recomputation of a small ragged case
-        schema = NeedSchema((1, 2))
-        w = WishProfile(np.array([0.5, 0.2, 0.9]), schema)
-        a = WishProfile(np.array([0.1, 0.2, 0.4]), schema)
+        # independent scalar recomputation of a small ragged case (jmax 1, 2)
+        w = np.array([0.5, 0.2, 0.9])
+        a = np.array([0.1, 0.2, 0.4])
         scalar = ((0.5 - 0.1) ** 2 + (0.2 - 0.2) ** 2 + (0.9 - 0.4) ** 2) / 3
         assert scalar == pytest.approx(0.41 / 3, rel=1e-15)
         assert distance(w, a) == pytest.approx(scalar, rel=1e-15)
 
     def test_shape_mismatch_raises(self):
-        s1 = NeedSchema((2,))
-        s2 = NeedSchema((3,))
         with pytest.raises(ValueError):
-            distance(WishProfile(np.zeros(2), s1), WishProfile(np.zeros(3), s2))
-
-    def test_same_slot_count_different_schema_raises(self):
-        s1 = NeedSchema((1, 2))
-        s2 = NeedSchema((3,))
-        with pytest.raises(ValueError):
-            distance(WishProfile(np.zeros(3), s1), WishProfile(np.zeros(3), s2))
+            distance(np.zeros(2), np.zeros(3))
 
     def test_accepts_raw_arrays(self):
         assert distance(np.array([0.5, 0.5]), np.array([0.5, 0.1])) == pytest.approx(
@@ -318,6 +315,13 @@ class TestPopulation:
         with pytest.raises(ConfigurationError, match="shop_counts"):
             Population(schema, wish, np.array([0.1, 0.2]), assort, (0,))
 
+    @pytest.mark.parametrize("bad", [1.9, True, "1"])
+    def test_rejects_non_integer_shop_count(self, bad):
+        schema = NeedSchema((1,))
+        wish = np.array([[0.5], [0.6]])
+        with pytest.raises(ConfigurationError, match="shop_counts"):
+            Population(schema, wish, np.array([0.1, 0.2]), np.array([[0.5]]), (bad,))
+
     def test_rejects_zero_assortment_entry(self):
         schema = NeedSchema((2,))
         wish = np.array([[0.5, 0.0], [0.6, 0.1]])
@@ -328,10 +332,10 @@ class TestPopulation:
     def test_brand_record_is_live_view(self):
         rng = np.random.default_rng(9)
         pop = make_population(rng, N=3, shop_counts=(2, 5, 1))
-        pop.brands[1].assortment.values[0] = 0.123
+        pop.brands[1].assortment[0] = 0.123
         assert pop.assortment_matrix[1, 0] == 0.123
         pop.assortment_matrix[2, 1] = 0.456
-        assert pop.brands[2].assortment.values[1] == 0.456
+        assert pop.brands[2].assortment[1] == 0.456
         assert [b.id for b in pop.brands] == [0, 1, 2]
         assert [b.shop_count for b in pop.brands] == list(pop.shop_counts) == [2, 5, 1]
 
