@@ -10,10 +10,9 @@ Randomness discipline
 Every stochastic choice consumes float64 uniforms from one generator stream
 in a fixed, documented order, so a run can be replayed slot by slot from the
 seed alone.  A bounded index in [0, n) is ``floor(u * n)`` clamped to
-``n - 1``, the rule of :func:`brandsim.model.index_from_uniform`; every
-channel applies it to whole arrays of uniforms at once through
-``brandsim.model._bounded_indices``, which performs the same IEEE
-operations.  Consumption per operation:
+``n - 1``, the rule of :func:`brandsim.model.index_from_uniform`, which
+every channel applies to whole arrays of uniforms at once.  Consumption per
+operation:
 
 * the copy triple: 3 uniforms (need pick, slot pick, acceptance coin) per
   slot-copy event, all consumed even when the event is a no-op.
@@ -45,7 +44,7 @@ from .errors import ConfigurationError
 from .model import (
     NeedSchema,
     Population,
-    _bounded_indices,
+    index_from_uniform,
     refresh_affiliations,
 )
 
@@ -90,8 +89,8 @@ class PairEvent(NamedTuple):
 
 def _flat_slots(schema: NeedSchema, u_need: np.ndarray, u_slot: np.ndarray) -> np.ndarray:
     """Each event's flat slot, drawn need-first as ``index_from_uniform`` does."""
-    need = _bounded_indices(u_need, schema.num_needs)
-    slot = _bounded_indices(u_slot, np.asarray(schema.jmax, dtype=np.int64)[need])
+    need = index_from_uniform(u_need, schema.num_needs)
+    slot = index_from_uniform(u_slot, np.asarray(schema.jmax, dtype=np.int64)[need])
     return np.asarray(schema.offsets, dtype=np.int64)[need] + slot
 
 
@@ -209,8 +208,8 @@ def _run_pair_events(
     """
     K = pop.num_customers
     u = u.reshape(-1, 5)
-    a = _bounded_indices(u[:, 0], K)
-    b = _bounded_indices(u[:, 1], K - 1)
+    a = index_from_uniform(u[:, 0], K)
+    b = index_from_uniform(u[:, 1], K - 1)
     b += b >= a  # the partner is one of the K-1 others
     if mode is Mode.HIERARCHY:
         ra = pop.ranks[a]
@@ -275,7 +274,7 @@ def leader_step(
     # each leader's row: its selection uniforms, then its teaching triples
     u = rng.random((len(leaders), 4 * pupils))
     steps = np.arange(pupils)
-    picks = steps + _bounded_indices(u[:, :pupils], len(non_leaders) - steps)
+    picks = steps + index_from_uniform(u[:, :pupils], len(non_leaders) - steps)
     pupil_ids = []
     for row in picks.tolist():
         pool = list(non_leaders)
@@ -310,7 +309,7 @@ def shop_step(
     counts = [shop_event_count(rate, s) for s in pop.shop_counts]
     # the brands draw back to back, so one draw is the same stream
     u = rng.random((sum(counts), 4))
-    customers = _bounded_indices(u[:, 0], pop.num_customers)
+    customers = index_from_uniform(u[:, 0], pop.num_customers)
     brand_ids = np.repeat(np.arange(len(counts)), counts)
     return len(_copy_rows(pop.wish_matrix, pop.assortment_matrix, customers,
                           brand_ids, u[:, 1:], params.p_copy, pop.schema))

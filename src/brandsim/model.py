@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError
 
@@ -28,20 +27,10 @@ if TYPE_CHECKING:
 MAX_SUBENTRIES = 5
 
 
-def index_from_uniform(u: float, n: int) -> int:
-    """Map a uniform draw ``u`` in [0, 1) to an integer index in [0, n).
-
-    This is the one bounded-integer rule used everywhere: ``floor(u * n)``,
-    clamped so float rounding can never produce ``n`` itself.
-    """
-    i = int(u * n)
-    return n - 1 if i >= n else i
-
-
-def _bounded_indices(u: np.ndarray, n) -> np.ndarray:
-    """:func:`index_from_uniform` over an array of uniforms, with the same IEEE
-    operations; ``n`` is one bound or an array of per-draw bounds."""
-    return np.minimum((u * n).astype(np.int64), n - 1)
+def index_from_uniform(u, n):
+    """The one bounded-index rule: ``floor(u * n)`` for uniforms ``u`` in [0, 1), clamped
+    so rounding never gives ``n`` itself.  ``u`` and ``n`` are scalars or per-draw arrays."""
+    return np.minimum(np.multiply(u, n).astype(np.int64), n - 1)
 
 
 def _coerce_int(name: str, value) -> int:
@@ -52,13 +41,22 @@ def _coerce_int(name: str, value) -> int:
     return int(value)
 
 
+def _coerce_ints(name: str, values) -> tuple[int, ...]:
+    """:func:`_coerce_int` over ``values``, which must be iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be a sequence, got {values!r}") from None
+    return tuple(_coerce_int(f"{name} entry", v) for v in items)
+
+
 def check_shop_counts(shop_counts: Sequence[int], N: int) -> tuple[int, ...]:
     """The shop counts as a tuple of Python ints: one per brand, each >= 1.
 
     A tuple rather than an int64 array, so a count too large for 64 bits
     stays valid wherever no shop event is drawn (a teaching rate of 0).
     """
-    counts = tuple(_coerce_int("shop_counts entry", s) for s in shop_counts)
+    counts = _coerce_ints("shop_counts", shop_counts)
     if len(counts) != N:
         raise ConfigurationError(
             f"shop_counts must have one entry per brand (N={N}), got {len(counts)}"
@@ -75,7 +73,7 @@ class NeedSchema:
     jmax: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(_coerce_int("jmax entry", j) for j in self.jmax)
+        counts = _coerce_ints("jmax", self.jmax)
         object.__setattr__(self, "jmax", counts)
         if len(counts) < 1:
             raise ConfigurationError("schema requires at least one need (M >= 1)")
@@ -209,24 +207,47 @@ class Population:
         )
 
 
-def distance(wish, assortment) -> float:
-    """Mean squared slot difference between two same-shape profiles.
+def _sq_distances(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
+    """``sum_s (wish[k, s] - assortment[b, s])**2`` per row k and brand b, added in slot
+    order (``np.sum`` would add pairwise), in temporaries of rows x brands x slots."""
+    d = wish[:, None, :] - assortment[None, :, :]
+    return np.add.accumulate(d * d, axis=2)[:, :, -1]
 
-    Unknown entries participate as literal zeros, so an unmet need is
-    penalised by the full assortment value.  Symmetric, and exactly zero
-    iff the profiles are identical.
-    """
+
+def distance(wish, assortment) -> float:
+    """Mean squared slot difference between two same-shape profiles: the
+    :func:`_sq_distances` sum over the slot count.  Unknown entries count as
+    literal zeros.  Symmetric, and exactly zero iff the profiles are identical."""
     x = np.asarray(wish, dtype=np.float64)
     y = np.asarray(assortment, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"profile shapes differ: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(np.mean(d * d))
+    return float(_sq_distances(x.reshape(1, -1), y.reshape(1, -1))[0, 0]) / x.size
 
 
 def _nearest_brand(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
-    """Per wish row, the index of the nearest assortment row (ties to the smallest)."""
-    return cdist(wish, assortment, "sqeuclidean").argmin(axis=1)
+    """Per wish row, the brand of least :func:`_sq_distances`, ties to the smallest index.
+
+    The candidate is the argmax of ``D = w.2a - |a|^2 = |w|^2 - d``.  With entries in
+    [0, 1], u = eps/2 and gamma_n = nu/(1-nu) <= 2nu (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 3), ``D`` summed in any order is within 3S gamma_S +
+    u(S + 3S gamma_S) <= 8S^2 u of its value, and the sequential ``d`` within
+    S gamma_{S+2} <= 6S^2 u.  So a lead in ``D`` above 2(8 + 6)S^2 u = 14S^2 eps over
+    every other brand is a lead in ``d``; the slack to 16S^2 eps covers the threshold's
+    rounding, for every 1 <= S < 2^51.  Other rows, exact ties included, take the exact sum.
+    A plain ``einsum`` starts no BLAS threads.  At K=2e4, S=30, N=5 this is at parity
+    with ``cdist`` (about 3 ms, 2-vCPU Xeon); at K=50 it costs 0.02 ms against 0.007,
+    which only a ``run`` recording every sweep at small K would notice."""
+    D = np.einsum("ks,bs->kb", wish, 2.0 * assortment)
+    D -= np.einsum("bs,bs->b", assortment, assortment)
+    best = D.argmax(axis=1)
+    margin = 16 * wish.shape[1] ** 2 * np.finfo(np.float64).eps
+    # one count over the whole mask: a per-row count costs as much as the product
+    near = D >= (D[np.arange(len(D)), best] - margin)[:, None]
+    if np.count_nonzero(near) > len(D):
+        tied = np.count_nonzero(near, axis=1) > 1
+        best[tied] = _sq_distances(wish[tied], assortment).argmin(axis=1)
+    return best
 
 
 def refresh_affiliations(pop: Population) -> None:
@@ -244,7 +265,7 @@ def init_schema(num_needs: int, rng: np.random.Generator) -> NeedSchema:
     if num_needs < 1:
         raise ConfigurationError(f"M must be >= 1, got {num_needs}")
     u = rng.random(num_needs)
-    return NeedSchema(tuple((_bounded_indices(u, MAX_SUBENTRIES) + 1).tolist()))
+    return NeedSchema(tuple((index_from_uniform(u, MAX_SUBENTRIES) + 1).tolist()))
 
 
 def init_population(cfg: "SimConfig", rng: np.random.Generator) -> Population:

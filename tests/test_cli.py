@@ -1,5 +1,9 @@
 import dataclasses
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +56,37 @@ def test_sweep_parallel_writes_the_serial_bytes(tmp_path):
         assert code == cli.EXIT_OK
         written.append([(out / f"sweep_p_copy_{i}.txt").read_bytes() for i in range(2)])
     assert written[0] == written[1]
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    path = write_config(tmp_path, TINY)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    block = tmp_path / "block"
+    block.mkdir()
+    # every interpreter that has this on its path, pool workers included, fails to import scipy
+    (block / "sitecustomize.py").write_text("import sys\nsys.modules['scipy'] = None\n")
+    argvs = {"run": ["run", "--config", path],
+             "ensemble": ["ensemble", "--config", path, "--runs", "2", "--parallel", "2"]}
+    script = ("import sys\nfrom brandsim import cli\n"
+              f"sys.exit(max(cli.main(a + ['--out', n]) for n, a in {argvs!r}.items()))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(block), src]))
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    done = subprocess.run([sys.executable, "-c", script], cwd=blocked, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    for name, argv in argvs.items():
+        out = tmp_path / "free" / name
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(p.name for p in (blocked / name).iterdir())
+        for f in written:
+            assert (blocked / name / f).read_bytes() == (out / f).read_bytes()
+    # unblocked, importing the CLI loads no scipy module at all
+    probe = "import sys, brandsim.cli; print('scipy' in {m.partition('.')[0] for m in sys.modules})"
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_run_rejects_infinite_shop_rate(tmp_path, capsys):

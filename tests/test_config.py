@@ -103,6 +103,11 @@ class TestSimConfig:
             self.base(shop_counts=(bad, 1))
         assert "shop_counts" in str(exc.value)
 
+    @pytest.mark.parametrize("bad", [5, 2.5, object()])
+    def test_non_iterable_shop_counts_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="shop_counts"):
+            self.base(shop_counts=bad)
+
     def test_numpy_and_huge_shop_counts_accepted(self):
         import numpy as np
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import brandsim
 from brandsim import (
@@ -16,6 +19,7 @@ from brandsim import (
     refresh_affiliations,
     sweep,
 )
+from brandsim.model import _nearest_brand
 
 
 def make_population(rng, K=4, N=2, jmax=(2, 3), p_unknown=0.25, shop_counts=None):
@@ -30,11 +34,11 @@ def make_population(rng, K=4, N=2, jmax=(2, 3), p_unknown=0.25, shop_counts=None
 
 
 def nearest_by_scan(pop):
-    """Each customer's nearest brand by an exhaustive ``distance`` scan over
-    the matrix rows, ties to the smallest index."""
+    """Each customer's nearest brand by an exhaustive scan of scipy's
+    ``cdist`` distances, ties to the smallest index."""
     out = []
     for wish in pop.wish_matrix:
-        dists = [distance(wish, assort) for assort in pop.assortment_matrix]
+        dists = cdist(wish[None], pop.assortment_matrix, "sqeuclidean")[0].tolist()
         out.append(min(range(len(dists)), key=lambda b: (dists[b], b)))
     return out
 
@@ -53,6 +57,10 @@ def test_index_from_uniform_bounds():
     assert index_from_uniform(0.2, 5) == 1
     # clamp guard: a u that rounds up to n must still map inside
     assert index_from_uniform(1.0 - 2**-53, 3) == 2
+    # arrays of draws, against one bound or one bound per draw
+    u = np.array([0.0, 0.2, 0.999999, 1.0 - 2**-53])
+    assert index_from_uniform(u, 5).tolist() == [0, 1, 4, 4]
+    assert index_from_uniform(u, np.array([1, 5, 5, 3])).tolist() == [0, 1, 4, 2]
 
 
 class TestNeedSchema:
@@ -76,6 +84,11 @@ class TestNeedSchema:
         with pytest.raises(ConfigurationError) as exc:
             NeedSchema((1, bad))
         assert "jmax" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [3, 2.5, None])
+    def test_rejects_non_iterable_counts(self, bad):
+        with pytest.raises(ConfigurationError, match="jmax"):
+            NeedSchema(bad)
 
     def test_numpy_integer_counts_accepted(self):
         s = NeedSchema(np.array([2, 3]))
@@ -139,6 +152,38 @@ class TestDistance:
         )
 
 
+@st.composite
+def nearest_cases(draw):
+    """Wish and assortment matrices with entries in [0, 1], built to put rows
+    near or at a tie: brands a few ulps apart in one slot, grid values,
+    duplicate brands, rows equal to a brand and all-zero rows."""
+    S = draw(st.integers(1, 50))
+    N = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        wish, assort = rng.integers(0, 5, (K, S)) / 4, rng.integers(0, 5, (N, S)) / 4
+    else:
+        wish, assort = rng.random((K, S)), rng.random((N, S))
+    for b in range(1, N):
+        kind = draw(st.sampled_from(["own", "duplicate", "ulps"]))
+        if kind != "own":
+            assort[b] = assort[draw(st.integers(0, b - 1))]
+        if kind == "ulps":
+            s, ulps = draw(st.integers(0, S - 1)), draw(st.integers(-4, 4))
+            x = assort[b, s]
+            for _ in range(abs(ulps)):
+                x = np.nextafter(x, 0.0 if ulps < 0 else 1.0)
+            assort[b, s] = x
+    for k in range(K):
+        kind = draw(st.sampled_from(["own", "brand", "zero"]))
+        if kind == "brand":
+            wish[k] = assort[draw(st.integers(0, N - 1))]
+        elif kind == "zero":
+            wish[k] = 0.0
+    return wish, assort
+
+
 class TestAssignBrand:
     def test_single_brand(self):
         rng = np.random.default_rng(2)
@@ -164,6 +209,33 @@ class TestAssignBrand:
         for _ in range(30):
             pop = make_population(rng, K=4, N=5, jmax=(1, 3, 2))
             assert list(pop.affiliations) == nearest_by_scan(pop)
+
+    @settings(max_examples=400, deadline=None)
+    @given(nearest_cases())
+    def test_matches_cdist_bit_for_bit(self, case):
+        # scipy is the independent oracle: its sequential sum is the exact rule
+        wish, assort = case
+        exact = cdist(wish, assort, "sqeuclidean")
+        assert _nearest_brand(wish, assort).tolist() == exact.argmin(axis=1).tolist()
+        S = wish.shape[1]
+        for k, w in enumerate(wish):
+            for b, a in enumerate(assort):
+                assert distance(w, a) == exact[k, b] / S
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_margin_holds_at_few_slots(self, S):
+        # the bound is tightest relative to the sums at small S: brands a few
+        # ulps apart, and rows on a brand or exactly between two
+        rng = np.random.default_rng(S)
+        for _ in range(20):
+            base = rng.random(S)
+            assort = np.array([base, np.nextafter(base, 1.0), np.nextafter(base, 0.0), base])
+            assort[1:3, 1:] = base[1:]
+            wish = rng.random((500, S))
+            wish[::7] = assort[rng.integers(0, 4)]
+            wish[1::7] = (assort[0] + assort[1]) / 2
+            exact = cdist(wish, assort, "sqeuclidean").argmin(axis=1)
+            assert _nearest_brand(wish, assort).tolist() == exact.tolist()
 
     def test_affiliation_minimises_distance_after_refresh(self):
         rng = np.random.default_rng(5)
@@ -321,6 +393,13 @@ class TestPopulation:
         wish = np.array([[0.5], [0.6]])
         with pytest.raises(ConfigurationError, match="shop_counts"):
             Population(schema, wish, np.array([0.1, 0.2]), np.array([[0.5]]), (bad,))
+
+    @pytest.mark.parametrize("bad", [5, 1.0, None])
+    def test_rejects_non_iterable_shop_counts(self, bad):
+        schema = NeedSchema((1,))
+        wish = np.array([[0.5], [0.6]])
+        with pytest.raises(ConfigurationError, match="shop_counts"):
+            Population(schema, wish, np.array([0.1, 0.2]), np.array([[0.5]]), bad)
 
     def test_rejects_zero_assortment_entry(self):
         schema = NeedSchema((2,))
