@@ -1,6 +1,7 @@
 #!/bin/sh
 # Smoke test of the installed `brandsim` entry point: run, ensemble and sweep
-# on a tiny config, serial and parallel outputs byte-equal, bad input exits 2.
+# on a tiny config, run and ensemble on a tiny hierarchy config with leaders and
+# shops, serial and parallel outputs byte-equal, bad input exits 2.
 # Usage: smoke.sh DIR, where DIR is an empty scratch directory.
 set -eu
 dir="$1"
@@ -23,6 +24,13 @@ test -s "$dir/sweepk/sweep_K_1.txt"
 code=0
 brandsim sweep --config "$cfg" --param K --values 4.5 --out "$dir/sweepk2" || code=$?
 test "$code" -eq 2
+hcfg="$dir/hier.cfg"
+printf 'N = 2\nK = 12\nM = 3\nmode = hierarchy\nseed = 7\nmax_sweeps = 2000\nleader_count = 2\nleader_pupils = 4\nshop_counts = 4, 1\nshop_teach_rate = 0.5\n' > "$hcfg"
+brandsim run --config "$hcfg" --out "$dir/hier"
+test -s "$dir/hier/timeseries.csv"
+brandsim ensemble --config "$hcfg" --runs 2 --out "$dir/hens"
+brandsim ensemble --config "$hcfg" --runs 2 --parallel 2 --out "$dir/hens2"
+cmp "$dir/hens/summary.txt" "$dir/hens2/summary.txt"
 sed 's/^K = .*/K = 1/' "$cfg" > "$dir/bad.cfg"
 code=0
 brandsim run --config "$dir/bad.cfg" --out "$dir/bad" || code=$?

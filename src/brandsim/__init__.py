@@ -30,7 +30,6 @@ from .harness import (
 from .metrics import (
     TimeSeriesRecord,
     brand_shares,
-    consensus_reached,
     dominant_brand,
     fluctuation,
     snapshot,
@@ -61,7 +60,6 @@ __all__ = [
     "SimConfig",
     "TimeSeriesRecord",
     "brand_shares",
-    "consensus_reached",
     "derive_child_seed",
     "distance",
     "dominant_brand",

@@ -73,14 +73,10 @@ class SimConfig:
             raise ConfigurationError(
                 f"leader_count must lie in [0, K), got {self.leader_count}"
             )
-        if self.leader_pupils > self.K - 1:
+        if self.leader_pupils > self.K - max(self.leader_count, 1):
             raise ConfigurationError(
-                f"leader_pupils must be at most K-1, got {self.leader_pupils}"
-            )
-        if self.leader_count > 0 and self.leader_pupils > self.K - self.leader_count:
-            raise ConfigurationError(
-                "leader_pupils cannot exceed the number of non-leaders "
-                f"(K - leader_count = {self.K - self.leader_count})"
+                f"leader_pupils must be at most K - max(leader_count, 1) = "
+                f"{self.K - max(self.leader_count, 1)}, got {self.leader_pupils}"
             )
         if self.aligned_leader_brand is not None and not (
             0 <= self.aligned_leader_brand < self.N

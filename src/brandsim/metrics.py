@@ -1,4 +1,4 @@
-"""Observables: wish dispersion, brand shares, dominance, convergence.
+"""Observables: wish dispersion, brand shares, dominance.
 
 The wish dispersion (:func:`fluctuation`) costs a full pass over the K x S
 wish matrix.  :func:`brandsim.harness.run` pays it at t=0, on every record
@@ -92,13 +92,6 @@ def brand_shares(pop: Population) -> np.ndarray:
     return counts / pop.num_customers
 
 
-def consensus_reached(pop: Population, epsilon: float) -> bool:
-    """True once the wish dispersion has dropped below ``epsilon``."""
-    if not epsilon > 0.0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
-    return fluctuation(pop) < epsilon
-
-
 def dominant_brand(shares) -> int:
     """Index of the largest share, ties to the smallest index."""
     arr = np.asarray(shares, dtype=np.float64)
@@ -107,13 +100,12 @@ def dominant_brand(shares) -> int:
     return int(arr.argmax())
 
 
-def snapshot(pop: Population, fluct: float | None = None) -> TimeSeriesRecord:
-    """Freeze the current observables into a record."""
-    f = fluctuation(pop) if fluct is None else fluct
+def snapshot(pop: Population, fluct: float) -> TimeSeriesRecord:
+    """Freeze the current observables, ``fluct`` from :func:`fluctuation`, into a record."""
     shares = brand_shares(pop)
     return TimeSeriesRecord(
         t=pop.t,
-        fluctuation=f,
+        fluctuation=fluct,
         shares=tuple(shares.tolist()),
         dominant=dominant_brand(shares),
     )

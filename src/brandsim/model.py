@@ -116,10 +116,12 @@ class Population:
     ``ranks`` and ``affiliations``; brands are the rows of
     ``assortment_matrix`` (N x S) and the entries of the ``shop_counts``
     tuple.  These are the only storage: the :class:`BrandProfile` records of
-    ``brands`` are built from them on access.  Ranks and the leader set are
-    fixed for the lifetime of the population.  Affiliations are computed on
-    first read and cached; a refresh marks them stale, so the next read
-    recomputes them from the current wishes.
+    ``brands`` are built from them on access.  Ranks are fixed, so the leader
+    split is derived from them once, by the mask ``ranks == 1``: ascending
+    tuples ``leader_ids`` and ``non_leader_ids``, the pupil pool that
+    ``leader_step`` copies per leader.  Affiliations are computed on first
+    read and cached; a refresh marks them stale, so the next read recomputes
+    them from the current wishes.
     """
 
     def __init__(
@@ -129,7 +131,6 @@ class Population:
         ranks,
         assortment_matrix,
         shop_counts: Sequence[int],
-        t: int = 0,
     ):
         wish = np.ascontiguousarray(wish_matrix, dtype=np.float64)
         assort = np.ascontiguousarray(assortment_matrix, dtype=np.float64)
@@ -158,13 +159,13 @@ class Population:
             raise ValueError("ranks must lie in [0, 1]")
 
         self.schema = schema
-        self.t = int(t)
+        self.t = 0
         self.wish_matrix = wish
         self.assortment_matrix = assort
         self.ranks = rank_arr
-        self.leader_ids = tuple(int(k) for k in np.flatnonzero(rank_arr == 1.0))
-        leader_set = set(self.leader_ids)
-        self.non_leader_ids = tuple(k for k in range(K) if k not in leader_set)
+        leader = rank_arr == 1.0
+        self.leader_ids = tuple(np.flatnonzero(leader).tolist())
+        self.non_leader_ids = tuple(np.flatnonzero(~leader).tolist())
         self._affiliations: np.ndarray | None = None
 
     @property
@@ -189,16 +190,6 @@ class Population:
             BrandProfile(b, row, count)
             for b, (row, count) in enumerate(zip(self.assortment_matrix, self.shop_counts))
         ]
-
-    def clone(self) -> "Population":
-        return Population(
-            self.schema,
-            self.wish_matrix.copy(),
-            self.ranks.copy(),
-            self.assortment_matrix.copy(),
-            self.shop_counts,
-            t=self.t,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -69,11 +69,14 @@ class TestSimConfig:
             self.base(K=5, leader_count=5)
 
     def test_pupils_cannot_exceed_non_leaders(self):
-        with pytest.raises(ConfigurationError) as exc:
-            self.base(K=5, leader_count=2, leader_pupils=4)
-        assert "leader_pupils" in str(exc.value)
-        # fine without leaders: the channel is inert
-        self.base(K=5, leader_count=0, leader_pupils=4)
+        # the edges of leader_pupils <= K - max(leader_count, 1) at K=5
+        for leaders, pupils in ((2, 4), (0, 5)):
+            with pytest.raises(ConfigurationError) as exc:
+                self.base(K=5, leader_count=leaders, leader_pupils=pupils)
+            assert "leader_pupils" in str(exc.value)
+        # K-1 pupils bound an inert channel (no leaders) as well as one leader
+        for leaders in (0, 1):
+            self.base(K=5, leader_count=leaders, leader_pupils=4)
 
     def test_shop_event_total_must_fit_one_draw(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,7 +322,7 @@ class TestSweep:
         seed_pop = np.random.default_rng(500)
         K = 12
         pop_a = make_population(seed_pop, K=K, N=3, ranks=None)
-        pop_b = pop_a.clone()
+        pop_b = copy.deepcopy(pop_a)
         params = KernelParams(p_copy=0.7, leader_pupils=0, shop_teach_rate=0.8)
         sweep(pop_a, Mode.HIERARCHY, params, rng_a)
 
@@ -549,7 +551,7 @@ class TestSweepMatchesScalarReference:
     @given(kernel_cases())
     def test_bitwise_equal_to_reference(self, case):
         pop = case_population(case)
-        ref = pop.clone()
+        ref = copy.deepcopy(pop)
         rng = np.random.default_rng(case["seed"] + 1)
         ref_rng = np.random.default_rng(case["seed"] + 1)
         for _ in range(case["sweeps"]):
@@ -632,7 +634,7 @@ class TestBatchedApplier:
             shop_event_count(params.shop_teach_rate, c) for c in case["shop_counts"]
         ) >= _MIN_BATCH
         pop = case_population(case)
-        ref = pop.clone()
+        ref = copy.deepcopy(pop)
         rng = np.random.default_rng(case["seed"] + 1)
         ref_rng = np.random.default_rng(case["seed"] + 1)
         for _ in range(case["sweeps"]):

@@ -14,7 +14,6 @@ from brandsim import (
     SimConfig,
     TimeSeriesRecord,
     brand_shares,
-    consensus_reached,
     distance,
     dominant_brand,
     fluctuation,
@@ -89,6 +88,15 @@ class TestFluctuation:
         )
         assert fluctuation(shuffled) == pytest.approx(fluctuation(pop), rel=1e-12)
 
+    def test_constant_under_frozen_dynamics(self):
+        rng = np.random.default_rng(12)
+        pop = make_population(rng, K=6)
+        params = KernelParams(p_copy=0.0)
+        f0 = fluctuation(pop)
+        for _ in range(100):
+            sweep(pop, Mode.EQUALITY, params, rng)
+            assert fluctuation(pop) == f0
+
 
 class TestBrandShares:
     def test_single_brand(self):
@@ -126,46 +134,6 @@ class TestBrandShares:
         moved = brand_shares(relabelled)
         for new_idx, old_idx in enumerate(perm):
             assert moved[new_idx] == base[old_idx]
-
-
-class TestConsensus:
-    def test_identical_wishes_true_for_any_epsilon(self):
-        rng = np.random.default_rng(9)
-        schema = NeedSchema((2,))
-        row = np.array([0.4, 0.9])
-        pop = Population(schema, np.tile(row, (3, 1)), rng.random(3), [[0.5, 0.5]], (1,))
-        assert consensus_reached(pop, 1e-300)
-
-    def test_threshold_semantics(self):
-        schema = NeedSchema((1,))
-        wish = np.array([[0.2], [0.6]])
-        pop = Population(schema, wish, np.zeros(2), [[0.5]], (1,))
-        d = fluctuation(pop)
-        assert not consensus_reached(pop, d / 2)
-        assert consensus_reached(pop, d * 2)
-
-    def test_monotone_in_epsilon(self):
-        rng = np.random.default_rng(10)
-        pop = make_population(rng)
-        f = fluctuation(pop)
-        for eps in (f / 10, f, f * 10):
-            if consensus_reached(pop, eps):
-                assert consensus_reached(pop, eps * 2)
-
-    def test_rejects_nonpositive_epsilon(self):
-        rng = np.random.default_rng(11)
-        pop = make_population(rng)
-        with pytest.raises(ConfigurationError):
-            consensus_reached(pop, 0.0)
-
-    def test_constant_under_frozen_dynamics(self):
-        rng = np.random.default_rng(12)
-        pop = make_population(rng, K=6)
-        params = KernelParams(p_copy=0.0)
-        f0 = fluctuation(pop)
-        for _ in range(100):
-            sweep(pop, Mode.EQUALITY, params, rng)
-            assert fluctuation(pop) == f0
 
 
 _TINIEST = 5e-324  # the smallest subnormal, one unit of the subnormal range
@@ -272,7 +240,7 @@ class TestTimeSeriesRecord:
     def test_snapshot_is_consistent(self):
         rng = np.random.default_rng(14)
         pop = make_population(rng, K=8, N=3)
-        rec = snapshot(pop)
+        rec = snapshot(pop, fluctuation(pop))
         assert rec.t == pop.t
         assert rec.fluctuation == fluctuation(pop)
         assert rec.dominant == dominant_brand(rec.shares)

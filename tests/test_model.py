@@ -46,9 +46,10 @@ def nearest_by_scan(pop):
 def test_public_names_resolve():
     for name in brandsim.__all__:
         getattr(brandsim, name)
-    for gone in ("Customer", "assign_brand", "WishProfile", "copy_entry"):
+    for gone in ("Customer", "assign_brand", "WishProfile", "copy_entry", "consensus_reached"):
         assert gone not in brandsim.__all__
         assert not hasattr(brandsim, gone)
+    assert not hasattr(Population, "clone")
 
 
 def test_index_from_uniform_bounds():
@@ -418,11 +419,18 @@ class TestPopulation:
         assert [b.id for b in pop.brands] == [0, 1, 2]
         assert [b.shop_count for b in pop.brands] == list(pop.shop_counts) == [2, 5, 1]
 
-    def test_clone_is_independent(self):
-        rng = np.random.default_rng(10)
-        pop = make_population(rng)
-        twin = pop.clone()
-        pop.wish_matrix[0, 0] = 0.999
-        assert twin.wish_matrix[0, 0] != 0.999
-        assert twin.t == pop.t
-        assert np.array_equal(twin.ranks, pop.ranks)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), K=st.integers(2, 40))
+    def test_leader_split(self, data, K):
+        # no leader, one or several; ranks next to 1.0 must not count
+        ranks = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, np.nextafter(1.0, 0.0)]), min_size=K, max_size=K)))
+        count = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, K)))
+        ranks[data.draw(st.permutations(range(K)))[:count]] = 1.0
+        pop = Population(NeedSchema((1,)), np.full((K, 1), 0.5), ranks, [[0.5]], (1,))
+        leaders, others = pop.leader_ids, pop.non_leader_ids
+        assert list(leaders) == sorted(leaders) and list(others) == sorted(others)
+        assert not set(leaders) & set(others)
+        assert sorted(leaders + others) == list(range(K))
+        assert leaders == tuple(np.flatnonzero(ranks == 1.0).tolist())
+        assert len(leaders) == count
