@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test of the installed `brandsim` entry point: run, ensemble and sweep
-# on a tiny config, run and ensemble on a tiny hierarchy config with leaders and
-# shops, serial and parallel outputs byte-equal, bad input exits 2.
+# on a tiny config, run and ensemble on tiny hierarchy configs with leaders and
+# shops and with leaders teaching every non-leader, serial and parallel outputs
+# byte-equal, bad input exits 2.
 # Usage: smoke.sh DIR, where DIR is an empty scratch directory.
 set -eu
 dir="$1"
@@ -31,6 +32,18 @@ test -s "$dir/hier/timeseries.csv"
 brandsim ensemble --config "$hcfg" --runs 2 --out "$dir/hens"
 brandsim ensemble --config "$hcfg" --runs 2 --parallel 2 --out "$dir/hens2"
 cmp "$dir/hens/summary.txt" "$dir/hens2/summary.txt"
+# every non-leader is every leader's pupil, so most pupil picks collide
+wcfg="$dir/whole.cfg"
+printf 'N = 2\nK = 10\nM = 2\nmode = hierarchy\nseed = 3\nmax_sweeps = 200\nleader_count = 2\nleader_pupils = 8\n' > "$wcfg"
+brandsim run --config "$wcfg" --out "$dir/whole"
+test -s "$dir/whole/timeseries.csv"
+brandsim ensemble --config "$wcfg" --runs 2 --out "$dir/wens"
+brandsim ensemble --config "$wcfg" --runs 2 --parallel 2 --out "$dir/wens2"
+cmp "$dir/wens/summary.txt" "$dir/wens2/summary.txt"
+sed 's/^leader_pupils = .*/leader_pupils = 2.5/' "$wcfg" > "$dir/frac.cfg"
+code=0
+brandsim run --config "$dir/frac.cfg" --out "$dir/frac" || code=$?
+test "$code" -eq 2
 sed 's/^K = .*/K = 1/' "$cfg" > "$dir/bad.cfg"
 code=0
 brandsim run --config "$dir/bad.cfg" --out "$dir/bad" || code=$?

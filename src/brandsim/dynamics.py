@@ -23,6 +23,8 @@ operation:
   selection uniforms driving a partial Fisher-Yates shuffle over the
   non-leader ids in ascending order, then one copy triple per chosen
   pupil in selection order.  No leaders or zero pupils consume nothing.
+  All leaders' shuffles are resolved in one array pass that follows each
+  collided pick back to the value an earlier swap moved (``_draw_pupils``).
 * ``shop_step``: per brand in ascending id, ``round(shop_teach_rate *
   shop_count)`` events (Python banker's rounding) of 4 uniforms each
   (customer pick plus the copy triple).  A rate of 0 consumes nothing.
@@ -44,6 +46,7 @@ from .errors import ConfigurationError
 from .model import (
     NeedSchema,
     Population,
+    _coerce_int,
     index_from_uniform,
     refresh_affiliations,
 )
@@ -67,6 +70,8 @@ class KernelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_copy <= 1.0:
             raise ConfigurationError(f"p_copy must lie in [0, 1], got {self.p_copy}")
+        object.__setattr__(self, "leader_pupils",
+                           _coerce_int("leader_pupils", self.leader_pupils))
         if self.leader_pupils < 0:
             raise ConfigurationError(
                 f"leader_pupils must be >= 0, got {self.leader_pupils}"
@@ -89,9 +94,15 @@ class PairEvent(NamedTuple):
 
 def _flat_slots(schema: NeedSchema, u_need: np.ndarray, u_slot: np.ndarray) -> np.ndarray:
     """Each event's flat slot, drawn need-first as ``index_from_uniform`` does."""
+    jmax, offsets = schema.slot_tables
     need = index_from_uniform(u_need, schema.num_needs)
-    slot = index_from_uniform(u_slot, np.asarray(schema.jmax, dtype=np.int64)[need])
-    return np.asarray(schema.offsets, dtype=np.int64)[need] + slot
+    return offsets[need] + index_from_uniform(u_slot, jmax[need])
+
+
+def _divmod(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod`` by a scalar in half its time, as numpy's ``//`` is fast."""
+    q = key // n
+    return q, key - q * n
 
 
 _MIN_BATCH = 256
@@ -110,12 +121,14 @@ def _apply_copies(
 
     Batches of fewer than ``_MIN_BATCH`` events run that sequential loop.
     Larger ones take a numpy path with the same result bit for bit, whose
-    temporaries all have one entry per event.  Its fixed cost is about
-    80 µs, so small batches lose: on pair batches (2-vCPU Xeon) the loop
-    took 69-71 µs at 128 events against 80-82 µs, and 130 µs at 256 against
-    92-96 µs; at 512 events the numpy path is 2x faster and at 2·10⁴ 5x.
-    The crossover moves with host noise between about 150 and 250 events,
-    and 256 keeps the 50-event pair batches of K=50 runs on the loop.
+    temporaries all have one entry per event.  On batches with a shared
+    source into 6·10⁴ cells (2-vCPU Xeon, medians of 7 x 200 batches) the
+    loop took 22-24 µs at 64 events against 50 µs, 70-76 µs at 256 against
+    82-91 µs, and 110-112 µs at 384, as the numpy path did; at 512 the
+    numpy path was 2-9% faster.  256 is kept: it keeps the 50-event pair
+    batches of K=50 runs on the loop, no benchmark workload sends a batch
+    of 256 to 384 events, and the golden runs pin numpy-path leader and
+    shop batches of 320 and 360 events.
 
     The numpy path reads every source before the batch, then repairs the
     reads of a cell that an earlier event of the batch wrote (hazards,
@@ -128,21 +141,23 @@ def _apply_copies(
     """
     n = len(dst_idx)
     if n < _MIN_BATCH:
+        # a memoryview reads and writes Python floats, with no numpy scalars
+        dst_view, src_view = memoryview(dst), memoryview(src)
         copied = []
         for i, (d, s) in enumerate(zip(dst_idx.tolist(), src_idx.tolist())):
-            v = src[s]
+            v = src_view[s]
             if v != 0.0:
-                dst[d] = v
+                dst_view[d] = v
                 copied.append(i)
         return np.array(copied, dtype=np.int64)
     events = np.arange(n)
     val = src[src_idx]
     # the event is the key's remainder, so a plain sort orders writes by (cell, event)
     key = np.sort(dst_idx * n + events)
-    cell, order = np.divmod(key, n)
+    cell, order = _divmod(key, n)
     w = val[order]  # the value each sorted write carries; 0 means no copy
     if np.shares_memory(dst, src):
-        rcell, reader = np.divmod(np.sort(src_idx * n + events), n)
+        rcell, reader = _divmod(np.sort(src_idx * n + events), n)
         # the last write to the read's cell by an earlier event, if any
         pos = np.searchsorted(key, rcell * n + reader) - 1
         hit = (pos >= 0) & (cell[pos] == rcell)
@@ -163,11 +178,13 @@ def _apply_copies(
                 last[own] = np.where(new != 0.0, own, -1)
             val[reader] = new
     copies = np.flatnonzero(w != 0.0)
-    c = cell[copies]
-    end = np.ones(len(c), dtype=bool)
-    np.not_equal(c[1:], c[:-1], out=end[:-1])
-    dst[c[end]] = w[copies[end]]
-    return np.flatnonzero(val != 0.0)
+    every = len(copies) == n  # w is val reordered, so then every event copied
+    if not every:
+        cell, w = cell[copies], w[copies]
+    end = np.ones(len(cell), dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=end[:-1])
+    dst[cell[end]] = w[end]
+    return events if every else np.flatnonzero(val != 0.0)
 
 
 def _copy_rows(
@@ -181,16 +198,20 @@ def _copy_rows(
 ) -> np.ndarray:
     """Slot-copy events from row ``source[i]`` of ``src`` to row ``learner[i]`` of ``dst``.
 
-    ``u`` holds each event's (need, slot, coin) uniforms; an event copies
+    Row ``i`` of ``u`` holds event ``i``'s (need, slot, coin) uniforms, read
+    through one transposed copy as three contiguous rows.  An event copies
     only if its coin is below ``p`` (a scalar or one value per event).  The
     coins do not depend on the state, so only events that pass one reach
     :func:`_apply_copies`.  Returns the positions of the events that copied.
     """
-    hit = np.flatnonzero(u[:, 2] < p)
-    flat = _flat_slots(schema, u[hit, 0], u[hit, 1])
+    need, slot, coin = u.T.copy()
+    hit = np.flatnonzero(coin < p)
+    if len(hit) < len(coin):
+        need, slot, learner, source = need[hit], slot[hit], learner[hit], source[hit]
+    flat = _flat_slots(schema, need, slot)
     S = schema.total_slots
-    dst_idx = learner[hit] * S + flat
-    src_idx = source[hit] * S + flat
+    dst_idx = learner * S + flat
+    src_idx = source * S + flat
     return hit[_apply_copies(dst.reshape(-1), src.reshape(-1), dst_idx, src_idx)]
 
 
@@ -251,6 +272,38 @@ def pair_step(
     return log[0]
 
 
+def _draw_pupils(leaders: tuple[int, ...], K: int, u: np.ndarray) -> np.ndarray:
+    """The pupil ids that row ``l`` of ``u`` selects, for every row, flat.
+
+    Row ``l`` drives a partial Fisher-Yates shuffle of the non-leader ids,
+    ascending: step ``s`` swaps positions ``s`` and ``picks[s] = s +
+    index_from_uniform(u[l, s], n - s)``.  No later step touches position
+    ``s``, so pupil ``s`` is what ``picks[s]`` held before step ``s``: itself
+    unless an earlier step picked it, else what the last such step ``i``
+    moved there, which is what position ``i`` held before step ``i``, and so
+    on back.  Only collided picks walk these chains.
+    """
+    L, P = u.shape
+    n = K - len(leaders)
+    steps = np.arange(P)
+    picks = steps + index_from_uniform(u, n - steps)
+    pupil = picks.ravel()  # flat event l * P + s
+    # every pick keyed by (row, position, step); the step is the key's remainder
+    key = np.sort(((np.arange(L)[:, None] * n + picks) * P + steps).ravel())
+    cell, step = _divmod(key, P)
+    c = np.flatnonzero(cell[1:] == cell[:-1])  # sorted pick c + 1 collides with pick c
+    row = cell[c] // n
+    todo, step = row * P + step[c + 1], step[c]
+    while len(todo):
+        # the last pick of position ``step`` before step ``step``, if any
+        q = (row * n + step) * P + step
+        at = np.searchsorted(key, q) - 1
+        found = (at >= 0) & (key[at] >= q - step)
+        pupil[todo[~found]] = step[~found]
+        todo, row, step = todo[found], row[found], key[at[found]] % P
+    return np.delete(np.arange(K), leaders)[pupil]
+
+
 def leader_step(
     pop: Population,
     params: KernelParams,
@@ -266,23 +319,15 @@ def leader_step(
     leaders = pop.leader_ids
     if not leaders or pupils == 0:
         return 0
-    non_leaders = pop.non_leader_ids
-    if pupils > len(non_leaders):
-        raise ConfigurationError(
-            f"leader_pupils={pupils} exceeds the {len(non_leaders)} non-leaders"
-        )
+    K, L = pop.num_customers, len(leaders)
+    if pupils > K - L:
+        raise ConfigurationError(f"leader_pupils={pupils} exceeds the {K - L} non-leaders")
     # each leader's row: its selection uniforms, then its teaching triples
-    u = rng.random((len(leaders), 4 * pupils))
-    steps = np.arange(pupils)
-    picks = steps + index_from_uniform(u[:, :pupils], len(non_leaders) - steps)
-    pupil_ids = []
-    for row in picks.tolist():
-        pool = list(non_leaders)
-        for step, pick in enumerate(row):
-            pool[step], pool[pick] = pool[pick], pool[step]
-        pupil_ids.extend(pool[:pupils])
+    u = rng.random((L, 4 * pupils))
     wish = pop.wish_matrix
-    return len(_copy_rows(wish, wish, np.array(pupil_ids), np.repeat(leaders, pupils),
+    # leaders never learn here, so their gathered rows are a disjoint source
+    return len(_copy_rows(wish, wish[list(leaders)], _draw_pupils(leaders, K, u[:, :pupils]),
+                          np.repeat(np.arange(L), pupils),
                           u[:, pupils:].reshape(-1, 3), params.p_copy, pop.schema))
 
 

@@ -92,14 +92,15 @@ class NeedSchema:
         return sum(self.jmax)
 
     @cached_property
+    def slot_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``jmax`` and ``offsets`` as int64 arrays, indexed by need."""
+        jmax = np.array(self.jmax, dtype=np.int64)
+        return jmax, np.cumsum(jmax) - jmax
+
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Flat index of the first slot of each need."""
-        out = []
-        acc = 0
-        for j in self.jmax:
-            out.append(acc)
-            acc += j
-        return tuple(out)
+        return tuple(self.slot_tables[1].tolist())
 
 
 @dataclass
@@ -116,12 +117,12 @@ class Population:
     ``ranks`` and ``affiliations``; brands are the rows of
     ``assortment_matrix`` (N x S) and the entries of the ``shop_counts``
     tuple.  These are the only storage: the :class:`BrandProfile` records of
-    ``brands`` are built from them on access.  Ranks are fixed, so the leader
-    split is derived from them once, by the mask ``ranks == 1``: ascending
-    tuples ``leader_ids`` and ``non_leader_ids``, the pupil pool that
-    ``leader_step`` copies per leader.  Affiliations are computed on first
-    read and cached; a refresh marks them stale, so the next read recomputes
-    them from the current wishes.
+    ``brands`` are built from them on access.  Ranks are fixed, so the
+    leaders are derived from them once, by the mask ``ranks == 1``, as the
+    ascending tuple ``leader_ids``; ``leader_step`` maps pupil positions to
+    non-leader ids from it.  Affiliations are computed on first read and
+    cached; a refresh marks them stale, so the next read recomputes them
+    from the current wishes.
     """
 
     def __init__(
@@ -163,9 +164,7 @@ class Population:
         self.wish_matrix = wish
         self.assortment_matrix = assort
         self.ranks = rank_arr
-        leader = rank_arr == 1.0
-        self.leader_ids = tuple(np.flatnonzero(leader).tolist())
-        self.non_leader_ids = tuple(np.flatnonzero(~leader).tolist())
+        self.leader_ids = tuple(np.flatnonzero(rank_arr == 1.0).tolist())
         self._affiliations: np.ndarray | None = None
 
     @property

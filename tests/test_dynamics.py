@@ -20,7 +20,7 @@ from brandsim import (
     shop_step,
     sweep,
 )
-from brandsim.dynamics import _MIN_BATCH, _apply_copies
+from brandsim.dynamics import _MIN_BATCH, _apply_copies, _draw_pupils
 
 
 def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None, shop_counts=None):
@@ -53,6 +53,16 @@ class TestKernelParams:
             with pytest.raises(ConfigurationError) as exc:
                 KernelParams(p_copy=0.5, shop_teach_rate=rate)
             assert "shop_teach_rate" in str(exc.value)
+
+    @pytest.mark.parametrize("pupils", [2.5, True, "3", None])
+    def test_rejects_non_integer_pupils(self, pupils):
+        with pytest.raises(ConfigurationError) as exc:
+            KernelParams(p_copy=0.5, leader_pupils=pupils)
+        assert "leader_pupils" in str(exc.value)
+
+    def test_accepts_numpy_integer_pupils(self):
+        params = KernelParams(p_copy=0.5, leader_pupils=np.int64(3))
+        assert params.leader_pupils == 3 and type(params.leader_pupils) is int
 
 
 class TestCopyEntry:
@@ -224,6 +234,34 @@ class TestLeaderStep:
             k for k in range(1, K) if np.any(pop.wish_matrix[k] == 0.42)
         ]
         assert len(touched) == 2
+
+
+def ref_draw_pupils(leaders, K, u):
+    """Each leader's partial Fisher-Yates shuffle on its own copy of the pool."""
+    non_leaders = [k for k in range(K) if k not in leaders]
+    chosen = []
+    for row in u.tolist():
+        pool = list(non_leaders)
+        for step, x in enumerate(row):
+            pick = step + index_from_uniform(x, len(pool) - step)
+            pool[step], pool[pick] = pool[pick], pool[step]
+        chosen.extend(pool[: len(row)])
+    return chosen
+
+
+class TestDrawPupils:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), L=st.integers(1, 6), n=st.integers(1, 60))
+    def test_matches_list_swap_loop(self, data, L, n):
+        # the extreme uniforms pick the current step and the last position
+        pupils = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+        leaders = tuple(sorted(data.draw(st.permutations(range(n + L)))[:L]))
+        uniform = st.one_of(st.sampled_from([0.0, np.nextafter(1.0, 0.0)]),
+                            st.floats(0.0, 1.0, exclude_max=True))
+        u = np.array(data.draw(st.lists(uniform, min_size=L * pupils,
+                                        max_size=L * pupils))).reshape(L, pupils)
+        got = _draw_pupils(leaders, n + L, u)
+        assert got.tolist() == ref_draw_pupils(leaders, n + L, u)
 
 
 class TestShopStep:
@@ -451,10 +489,11 @@ def ref_pair_events(pop, mode, params, u):
 
 def ref_leader_step(pop, params, rng):
     pupils = params.leader_pupils
-    leaders = pop.leader_ids
+    K = pop.num_customers
+    leaders = [k for k in range(K) if pop.ranks[k] == 1.0]
     if not leaders or pupils == 0:
         return 0
-    non_leaders = pop.non_leader_ids
+    non_leaders = [k for k in range(K) if k not in leaders]
     wish = pop.wish_matrix
     copies = 0
     for leader in leaders:

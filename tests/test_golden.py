@@ -4,7 +4,8 @@ Each case runs one small config end to end and hashes two outputs: the
 ``emit_csv`` text of its time series and the bytes of the final wish matrix.
 A change that alters any draw, any copy or any emitted digit changes a hash,
 so a speed-up must leave every pin as it is.  The cases cover both modes,
-leaders with and without an aligned brand, uneven shop counts, leader and
+leaders with and without an aligned brand, leaders whose pupils are the whole
+non-leader pool (so most picks collide), uneven shop counts, leader and
 shop batches above the batched-applier threshold, ``p_unknown`` of 0 and 0.9,
 and ``record_every = 3``.
 
@@ -73,6 +74,12 @@ GOLDEN = {
              max_sweeps=50, record_every=3),
         "a326e8b2cf3ecc168a5c18cb6e6b239df355bce407e05dbf8096a6ebcec34be3",
         "bf0dc68fa6ed2fbada82193a9255f06910f8e67a538cb52439d41b7603f685b4",
+    ),
+    "hierarchy_leaders_whole_pool": (
+        dict(N=3, K=40, M=4, mode=HI, seed=14, p_copy=0.9, leader_count=3,
+             leader_pupils=37, max_sweeps=30),
+        "c437f6d51078beb8d4738c7d7dc81f3ceb7ecad81f2fcd54a933d5479d3e63a2",
+        "c1eb12b3b3cd958835767e9c1002d8080b7b93faef6b6f92f73f30e3364f495a",
     ),
     "equality_to_consensus": (
         dict(N=2, K=8, M=2, mode=EQ, seed=9, max_sweeps=500),

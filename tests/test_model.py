@@ -19,6 +19,7 @@ from brandsim import (
     refresh_affiliations,
     sweep,
 )
+from brandsim.dynamics import _draw_pupils
 from brandsim.model import _nearest_brand
 
 
@@ -428,9 +429,10 @@ class TestPopulation:
         count = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, K)))
         ranks[data.draw(st.permutations(range(K)))[:count]] = 1.0
         pop = Population(NeedSchema((1,)), np.full((K, 1), 0.5), ranks, [[0.5]], (1,))
-        leaders, others = pop.leader_ids, pop.non_leader_ids
-        assert list(leaders) == sorted(leaders) and list(others) == sorted(others)
-        assert not set(leaders) & set(others)
-        assert sorted(leaders + others) == list(range(K))
+        leaders = pop.leader_ids
+        assert list(leaders) == sorted(leaders) and len(set(leaders)) == len(leaders)
         assert leaders == tuple(np.flatnonzero(ranks == 1.0).tolist())
         assert len(leaders) == count
+        # zero uniforms pick every position in turn: the pool, ascending
+        others = [k for k in range(K) if k not in leaders]
+        assert _draw_pupils(leaders, K, np.zeros((1, len(others)))).tolist() == others
