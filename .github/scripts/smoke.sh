@@ -48,3 +48,11 @@ sed 's/^K = .*/K = 1/' "$cfg" > "$dir/bad.cfg"
 code=0
 brandsim run --config "$dir/bad.cfg" --out "$dir/bad" || code=$?
 test "$code" -eq 2
+code=0
+brandsim ensemble --config "$cfg" --runs 0 --out "$dir/ens0" || code=$?
+test "$code" -eq 2
+# a kernel rate out of range is rejected by the checks SimConfig inherits
+{ cat "$cfg"; echo 'p_copy = 1.5'; } > "$dir/rate.cfg"
+code=0
+brandsim run --config "$dir/rate.cfg" --out "$dir/rate" || code=$?
+test "$code" -eq 2

@@ -10,34 +10,32 @@ required, everything else falls back to the documented default.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .dynamics import KernelParams, Mode, shop_event_count
 from .errors import ConfigurationError
-from .model import MAX_SUBENTRIES, _coerce_int, check_shop_counts
+from .model import MAX_SUBENTRIES, _coerce_float, _coerce_int, check_shop_counts
 
 _MAX_SEED = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Everything a run needs besides the generator itself."""
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(KernelParams):
+    """Everything a run needs besides the generator itself.  The kernel rates are
+    declared and checked in the base class :class:`~brandsim.dynamics.KernelParams`;
+    the fields declared here are keyword-only."""
 
     N: int
     K: int
     M: int
     mode: Mode
     seed: int
-    p_copy: float = 1.0
     p_unknown: float = 0.25
     leader_count: int = 0
-    leader_pupils: int = 0
     aligned_leader_brand: int | None = None
     shop_counts: tuple[int, ...] | None = None
-    shop_teach_rate: float = 0.0
     epsilon: float = 1e-12
     max_sweeps: int = 1000
     record_every: int = 1
@@ -64,7 +62,7 @@ class SimConfig:
         if not 0 <= self.seed <= _MAX_SEED:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
         # the kernel rates' own checks live in KernelParams; only the K-dependent ones stay here
-        self.kernel_params()
+        super().__post_init__()
         if not 0.0 <= self.p_unknown <= 1.0:
             raise ConfigurationError(
                 f"p_unknown must lie in [0, 1], got {self.p_unknown}"
@@ -114,16 +112,6 @@ class SimConfig:
             raise ConfigurationError(
                 f"record_every must be >= 1, got {self.record_every}"
             )
-
-    def kernel_params(self) -> KernelParams:
-        """The rates of the three influence channels, as the kernels take them."""
-        return KernelParams(self.p_copy, self.leader_pupils, self.shop_teach_rate)
-
-
-def _coerce_float(name: str, value) -> float:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _parse_int(key: str, text: str) -> int:

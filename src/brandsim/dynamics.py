@@ -46,6 +46,7 @@ from .errors import ConfigurationError
 from .model import (
     NeedSchema,
     Population,
+    _coerce_float,
     _coerce_int,
     index_from_uniform,
     refresh_affiliations,
@@ -61,13 +62,16 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Rates for the three influence channels."""
+    """Rates for the three influence channels, declared and checked only here:
+    :class:`~brandsim.config.SimConfig` extends this class, so the kernels take
+    a run's config as it is.  The pupil bound, which needs K, is not checked here."""
 
-    p_copy: float
+    p_copy: float = 1.0
     leader_pupils: int = 0
     shop_teach_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p_copy", _coerce_float("p_copy", self.p_copy))
         if not 0.0 <= self.p_copy <= 1.0:
             raise ConfigurationError(f"p_copy must lie in [0, 1], got {self.p_copy}")
         object.__setattr__(self, "leader_pupils",
@@ -76,6 +80,8 @@ class KernelParams:
             raise ConfigurationError(
                 f"leader_pupils must be >= 0, got {self.leader_pupils}"
             )
+        object.__setattr__(self, "shop_teach_rate",
+                           _coerce_float("shop_teach_rate", self.shop_teach_rate))
         if not 0.0 <= self.shop_teach_rate < math.inf:
             raise ConfigurationError(
                 f"shop_teach_rate must be finite and >= 0, got {self.shop_teach_rate}"

@@ -22,7 +22,7 @@ from .config import SimConfig, parse_value
 from .dynamics import sweep
 from .errors import ConfigurationError
 from .metrics import TimeSeriesRecord, _surely_dispersed, fluctuation, snapshot
-from .model import Population, init_population
+from .model import Population, _coerce_int, init_population
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -71,25 +71,19 @@ def run(cfg: SimConfig) -> RunResult:
     """
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(cfg, rng)
-    params = cfg.kernel_params()
-    f = fluctuation(pop)
-    records = [snapshot(pop, f)]
-    if f < cfg.epsilon:
-        return RunResult(records, pop, 0)
-    converged_at = None
-    while pop.t < cfg.max_sweeps:
-        sweep(pop, cfg.mode, params, rng)
+    records = []
+    while True:
         record = pop.t == cfg.max_sweeps or pop.t % cfg.record_every == 0
-        if not record and _surely_dispersed(pop, cfg.epsilon):
-            continue
-        f = fluctuation(pop)
-        converged = f < cfg.epsilon
-        if converged or record:
-            records.append(snapshot(pop, f))
-        if converged:
-            converged_at = pop.t
-            break
-    return RunResult(records, pop, converged_at)
+        if record or not _surely_dispersed(pop, cfg.epsilon):
+            f = fluctuation(pop)
+            converged = f < cfg.epsilon
+            if converged or record:
+                records.append(snapshot(pop, f))
+            if converged:
+                return RunResult(records, pop, pop.t)
+        if pop.t == cfg.max_sweeps:
+            return RunResult(records, pop, None)
+        sweep(pop, cfg.mode, cfg, rng)
 
 
 @dataclass(frozen=True)
@@ -117,6 +111,8 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     summary is identical for any ``parallel`` setting.  The dominant-brand
     histogram counts converged runs only and sums to 1 when any converged.
     """
+    runs = _coerce_int("runs", runs)
+    parallel = _coerce_int("parallel", parallel)
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
     children = [

@@ -41,6 +41,13 @@ def _coerce_int(name: str, value) -> int:
     return int(value)
 
 
+def _coerce_float(name: str, value) -> float:
+    """``value`` as a Python float; a bool or a non-real is a :class:`ConfigurationError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _coerce_ints(name: str, values) -> tuple[int, ...]:
     """:func:`_coerce_int` over ``values``, which must be iterable."""
     try:
@@ -96,11 +103,6 @@ class NeedSchema:
         """``jmax`` and ``offsets`` as int64 arrays, indexed by need."""
         jmax = np.array(self.jmax, dtype=np.int64)
         return jmax, np.cumsum(jmax) - jmax
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Flat index of the first slot of each need."""
-        return tuple(self.slot_tables[1].tolist())
 
 
 @dataclass
@@ -252,6 +254,7 @@ def init_schema(num_needs: int, rng: np.random.Generator) -> NeedSchema:
     Consumes ``num_needs`` uniforms; count ``i`` is
     ``1 + index_from_uniform(u_i, 5)``.
     """
+    num_needs = _coerce_int("M", num_needs)
     if num_needs < 1:
         raise ConfigurationError(f"M must be >= 1, got {num_needs}")
     u = rng.random(num_needs)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brandsim import ConfigurationError, Mode, SimConfig, load_config, parse_config_text
+from brandsim import (
+    ConfigurationError,
+    KernelParams,
+    Mode,
+    SimConfig,
+    load_config,
+    parse_config_text,
+)
 
 MINIMAL = """
 # smallest valid file
@@ -34,6 +41,13 @@ class TestSimConfig:
         assert cfg.epsilon == 1e-12
         assert cfg.max_sweeps == 1000
         assert cfg.record_every == 1
+
+    def test_is_the_kernels_params(self):
+        assert isinstance(self.base(), KernelParams)
+
+    def test_own_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            SimConfig(1.0, 0, 0.0, 2, 10, 3, Mode.EQUALITY, 1)
 
     @pytest.mark.parametrize(
         "field,value",

@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -64,8 +65,24 @@ class TestKernelParams:
         params = KernelParams(p_copy=0.5, leader_pupils=np.int64(3))
         assert params.leader_pupils == 3 and type(params.leader_pupils) is int
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("p_copy", "0.5"), ("p_copy", None), ("p_copy", True), ("shop_teach_rate", "1")],
+    )
+    def test_rejects_non_numeric_rates(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            KernelParams(**{"p_copy": 0.5, field: value})
 
-class TestCopyEntry:
+    def test_accepts_numpy_float_rates(self):
+        params = KernelParams(p_copy=np.float64(0.5), shop_teach_rate=np.float64(2.0))
+        assert params == KernelParams(p_copy=0.5, shop_teach_rate=2.0)
+        assert type(params.p_copy) is float and type(params.shop_teach_rate) is float
+
+    def test_defaults(self):
+        assert KernelParams() == KernelParams(p_copy=1.0, leader_pupils=0, shop_teach_rate=0.0)
+
+
+class TestSlotCopy:
     """The copy triple, seen through one pair event on a K=2 population."""
 
     HIER = KernelParams(p_copy=1.0)
@@ -424,7 +441,7 @@ def ref_copy_slot(learner_values, source_values, schema, u_need, u_slot, u_coin,
     need = index_from_uniform(u_need, schema.num_needs)
     jm = schema.jmax[need]
     slot = index_from_uniform(u_slot, jm)
-    flat = schema.offsets[need] + slot
+    flat = [0, *itertools.accumulate(schema.jmax)][need] + slot
     v = source_values[flat]
     if v != 0.0 and u_coin < p:
         learner_values[flat] = v
@@ -452,6 +469,7 @@ def ref_pair_events(pop, mode, params, u):
     S = schema.total_slots
     uu = u.tolist()
     K1 = K - 1
+    offsets = [0, *itertools.accumulate(schema.jmax)]
     copies = 0
     for i in range(0, len(uu) // 5 * 5, 5):
         ua, ub, un, us, uc = uu[i : i + 5]
@@ -479,7 +497,7 @@ def ref_pair_events(pop, mode, params, u):
         slot = int(us * jm)
         if slot >= jm:
             slot = jm - 1
-        flat = schema.offsets[need] + slot
+        flat = offsets[need] + slot
         v = wish_flat[source * S + flat]
         if v != 0.0 and uc < p:
             wish_flat[learner * S + flat] = v

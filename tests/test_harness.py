@@ -131,6 +131,29 @@ class TestEnsemble:
         with pytest.raises(ConfigurationError):
             ensemble(cfg(), 0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("runs", True), ("runs", 2.5), ("runs", "3"), ("runs", None),
+         ("parallel", "2"), ("parallel", None), ("parallel", 1.5)],
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        counts = {"runs": 2, "parallel": 1, name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            ensemble(cfg(), **counts)
+        with pytest.raises(ConfigurationError, match=name):
+            sweep_param(cfg(), "p_copy", [0.5], **counts)
+
+    @pytest.mark.parametrize("parallel", [0, -2])
+    def test_parallel_below_two_runs_serially(self, parallel, monkeypatch):
+        c = cfg(K=8, M=2, max_sweeps=300)
+        serial = ensemble(c, 2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("ensemble started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert ensemble(c, 2, parallel=parallel) == serial
+
     def test_single_run_summary(self):
         c = cfg(K=6, M=1, seed=7, max_sweeps=5000)
         summary = ensemble(c, 1)

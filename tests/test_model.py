@@ -70,7 +70,7 @@ class TestNeedSchema:
         s = NeedSchema((1, 5, 3))
         assert s.num_needs == 3
         assert s.total_slots == 9
-        assert s.offsets == (0, 1, 6)
+        assert s.slot_tables[1].tolist() == [0, 1, 6]
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
@@ -97,7 +97,7 @@ class TestNeedSchema:
         assert s.jmax == (2, 3) and all(type(j) is int for j in s.jmax)
 
 
-class TestWishProfile:
+class TestWishMatrixShape:
     def test_shape_mismatch(self):
         # a profile is a wish-matrix row, so its shape is checked by Population
         schema = NeedSchema((1, 2))
@@ -186,7 +186,7 @@ def nearest_cases(draw):
     return wish, assort
 
 
-class TestAssignBrand:
+class TestNearestBrand:
     def test_single_brand(self):
         rng = np.random.default_rng(2)
         pop = make_population(rng, K=3, N=1)
@@ -254,6 +254,12 @@ class TestInitSchema:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             init_schema(0, rng)
+
+    @pytest.mark.parametrize("num_needs", [2.5, True, "3", None])
+    def test_rejects_non_integer_count(self, num_needs):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="M must be an integer"):
+            init_schema(num_needs, rng)
 
     def test_counts_in_range(self):
         rng = np.random.default_rng(6)
