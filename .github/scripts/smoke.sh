@@ -2,8 +2,8 @@
 # Smoke test of the installed `brandsim` entry point: run, ensemble and sweep
 # on a tiny config, run and ensemble on tiny hierarchy configs with leaders and
 # shops and with leaders teaching every non-leader, serial and parallel outputs
-# byte-equal, --seed equal to the seed in the file, bad input exits 2 and a
-# missing config exits 3.
+# byte-equal, --seed equal to the seed in the file, bad input exits 2, a
+# missing config exits 3, and the module entry point answers --help.
 # Usage: smoke.sh DIR, where DIR is an empty scratch directory.
 set -eu
 dir="$1"
@@ -66,3 +66,5 @@ cmp "$dir/seedflag/timeseries.csv" "$dir/seedfile/timeseries.csv"
 code=0
 brandsim run --config "$dir/absent.cfg" --out "$dir/absent" || code=$?
 test "$code" -eq 3
+# the module entry point, as README.md runs it without installing
+python -m brandsim.cli --help > /dev/null

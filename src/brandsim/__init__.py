@@ -11,7 +11,6 @@ from .dynamics import (
     Mode,
     PairEvent,
     leader_step,
-    pair_step,
     shop_event_count,
     shop_step,
     sweep,
@@ -72,7 +71,6 @@ __all__ = [
     "init_schema",
     "leader_step",
     "load_config",
-    "pair_step",
     "parse_config_text",
     "refresh_affiliations",
     "run",

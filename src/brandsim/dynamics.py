@@ -16,7 +16,7 @@ operation:
 
 * the copy triple: 3 uniforms (need pick, slot pick, acceptance coin) per
   slot-copy event, all consumed even when the event is a no-op.
-* ``pair_step``: 5 uniforms (learner pick over K, partner pick over the
+* a pair event: 5 uniforms (learner pick over K, partner pick over the
   remaining K-1 with indexes at or above the first shifted up by one, then
   the copy triple).
 * ``leader_step``: per leader in ascending customer id, ``leader_pupils``
@@ -227,63 +227,6 @@ def _copy_rows(
     return hit[_apply_copies(dst.reshape(-1), src.reshape(-1), dst_idx, src_idx)]
 
 
-def _run_pair_events(
-    pop: Population,
-    mode: Mode,
-    params: KernelParams,
-    u: np.ndarray,
-    event_log: list[PairEvent] | None = None,
-) -> int:
-    """Apply ``len(u) // 5`` sequential pair events; returns the copy count.
-
-    Shared by ``pair_step`` (one event) and ``sweep`` (K events) so both
-    consume the stream identically.
-    """
-    K = pop.num_customers
-    u = u.reshape(-1, 5)
-    a = index_from_uniform(u[:, 0], K)
-    b = index_from_uniform(u[:, 1], K - 1)
-    b += b >= a  # the partner is one of the K-1 others
-    if mode is Mode.HIERARCHY:
-        ra = pop.ranks[a]
-        rb = pop.ranks[b]
-        lower = ra < rb
-        learner = np.where(lower, a, b)
-        source = np.where(lower, b, a)
-        # ra - rb is exactly -(rb - ra), so this is the rank gap either way round
-        p = params.p_copy * np.abs(rb - ra)
-    else:
-        learner, source, p = a, b, params.p_copy
-    wish = pop.wish_matrix
-    done = _copy_rows(wish, wish, learner, source, u[:, 2:], p, pop.schema)
-    if event_log is not None:
-        copied = np.zeros(len(a), dtype=bool)
-        copied[done] = True
-        event_log.extend(
-            map(PairEvent._make, zip(a.tolist(), b.tolist(), learner.tolist(),
-                                     source.tolist(), copied.tolist()))
-        )
-    return len(done)
-
-
-def pair_step(
-    pop: Population,
-    mode: Mode,
-    params: KernelParams,
-    rng: np.random.Generator,
-) -> PairEvent:
-    """One pair interaction between two distinct, uniformly chosen customers.
-
-    Equality: the first-drawn customer learns from the partner with
-    probability ``p_copy``.  Hierarchy: the lower-ranked learns from the
-    higher-ranked with probability ``p_copy`` times the rank gap, so equal
-    ranks never copy.
-    """
-    log: list[PairEvent] = []
-    _run_pair_events(pop, mode, params, rng.random(5), log)
-    return log[0]
-
-
 def _draw_pupils(leaders: tuple[int, ...], K: int, u: np.ndarray) -> np.ndarray:
     """The pupil ids that row ``l`` of ``u`` selects, for every row, flat.
 
@@ -378,17 +321,43 @@ def sweep(
     params: KernelParams,
     rng: np.random.Generator,
     event_log: list[PairEvent] | None = None,
-) -> Population:
+) -> None:
     """Advance the population by one time unit, in place.
 
-    Performs exactly K pair events, then the leader and shop channels, then
-    refreshes the affiliations, which marks them stale so the next read
-    recomputes them, and increments ``t``.  When ``event_log`` is a list,
-    one :class:`PairEvent` per pair interaction is appended to it.
+    Performs exactly K pair events, in draw order.  Each picks two distinct
+    customers uniformly.  Equality: the first-drawn customer learns from the
+    partner with probability ``p_copy``.  Hierarchy: the lower-ranked learns
+    from the higher-ranked with probability ``p_copy`` times the rank gap, so
+    equal ranks never copy.  Then come the leader and shop channels, then the
+    affiliation refresh, which marks them stale so the next read recomputes
+    them, and ``t`` increments.  When ``event_log`` is a list, one
+    :class:`PairEvent` per pair event is appended to it.
     """
-    _run_pair_events(pop, mode, params, rng.random(5 * pop.num_customers), event_log)
+    K = pop.num_customers
+    u = rng.random((K, 5))
+    a = index_from_uniform(u[:, 0], K)
+    b = index_from_uniform(u[:, 1], K - 1)
+    b += b >= a  # the partner is one of the K-1 others
+    if mode is Mode.HIERARCHY:
+        ra = pop.ranks[a]
+        rb = pop.ranks[b]
+        lower = ra < rb
+        learner = np.where(lower, a, b)
+        source = np.where(lower, b, a)
+        # ra - rb is exactly -(rb - ra), so this is the rank gap either way round
+        p = params.p_copy * np.abs(rb - ra)
+    else:
+        learner, source, p = a, b, params.p_copy
+    wish = pop.wish_matrix
+    done = _copy_rows(wish, wish, learner, source, u[:, 2:], p, pop.schema)
+    if event_log is not None:
+        copied = np.zeros(K, dtype=bool)
+        copied[done] = True
+        event_log.extend(
+            map(PairEvent._make, zip(a.tolist(), b.tolist(), learner.tolist(),
+                                     source.tolist(), copied.tolist()))
+        )
     leader_step(pop, params, rng)
     shop_step(pop, params, rng)
     refresh_affiliations(pop)
     pop.t += 1
-    return pop

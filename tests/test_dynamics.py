@@ -16,7 +16,6 @@ from brandsim import (
     distance,
     index_from_uniform,
     leader_step,
-    pair_step,
     shop_event_count,
     shop_step,
     sweep,
@@ -34,6 +33,14 @@ def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None, shop_
     assort = 1.0 - rng.random((N, S))
     return Population(schema, wish, np.asarray(ranks, dtype=float), assort,
                       shop_counts or (1,) * N)
+
+
+def pair_events(pop, mode, params, rng):
+    """The pair events that one sweep logs, in draw order."""
+    log = []
+    sweep(pop, mode, params, rng, event_log=log)
+    assert len(log) == pop.num_customers
+    return log
 
 
 class TestKernelParams:
@@ -87,14 +94,15 @@ class TestKernelParams:
 
 
 class TestSlotCopy:
-    """The copy triple, seen through one pair event on a K=2 population."""
+    """The copy triple, seen through the two pair events of a K=2 sweep."""
 
     HIER = KernelParams(p_copy=1.0)
 
     @staticmethod
     def pair(rng, jmax, source_row=None):
         """Customer 0 (rank 0) and customer 1 (rank 1), so under hierarchy 0
-        always learns from 1 with probability ``p_copy``."""
+        always learns from 1 with probability ``p_copy``.  Customer 1 is a
+        leader, but with no pupils the leader channel does nothing."""
         pop = make_population(rng, K=2, jmax=jmax, p_unknown=0.0, ranks=(0.0, 1.0))
         if source_row is not None:
             pop.wish_matrix[1] = source_row
@@ -104,90 +112,97 @@ class TestSlotCopy:
         rng = np.random.default_rng(0)
         pop = self.pair(rng, (2, 3))
         before = pop.wish_matrix.copy()
-        for _ in range(200):
-            assert not pair_step(pop, Mode.EQUALITY, KernelParams(p_copy=0.0), rng).copied
+        for _ in range(100):
+            log = pair_events(pop, Mode.EQUALITY, KernelParams(p_copy=0.0), rng)
+            assert not any(ev.copied for ev in log)
         assert np.array_equal(pop.wish_matrix, before)
 
     def test_forced_copy_changes_exactly_one_slot(self):
+        # every event copies one slot, so the learner's row changes in at most
+        # as many slots as there were events, each now equal to the source's
         rng = np.random.default_rng(1)
         for _ in range(100):
             pop = self.pair(rng, (3, 1, 2))
             before = pop.wish_matrix.copy()
-            ev = pair_step(pop, Mode.HIERARCHY, self.HIER, rng)
-            assert (ev.learner, ev.source) == (0, 1)
-            assert ev.copied
+            log = pair_events(pop, Mode.HIERARCHY, self.HIER, rng)
+            for ev in log:
+                assert (ev.learner, ev.source) == (0, 1)
+                assert ev.copied
             learner, source = pop.wish_matrix
             assert np.array_equal(source, before[1])
             changed = np.flatnonzero(learner != before[0])
-            assert len(changed) <= 1
-            # the touched slot now equals the source exactly
+            assert len(changed) <= len(log)
+            # the touched slots now equal the source exactly
+            assert np.array_equal(learner[changed], source[changed])
             assert (learner == source).any()
-            if len(changed) == 1:
-                assert learner[changed[0]] == source[changed[0]]
 
     def test_unknown_source_never_transmits(self):
         rng = np.random.default_rng(2)
         pop = self.pair(rng, (2, 2), source_row=0.0)
         before = pop.wish_matrix.copy()
-        for _ in range(10_000):
-            assert not pair_step(pop, Mode.HIERARCHY, self.HIER, rng).copied
+        for _ in range(5_000):
+            assert not any(ev.copied for ev in pair_events(pop, Mode.HIERARCHY, self.HIER, rng))
         assert np.array_equal(pop.wish_matrix, before)
 
     def test_consumes_three_uniforms_even_on_noop(self):
-        # a pair event's two picks, then the copy triple, even when nothing copies
+        # each pair event draws its two picks, then the copy triple, even when
+        # nothing copies: 5 uniforms per event, and nothing else in this sweep
         pop = self.pair(np.random.default_rng(0), (2,), source_row=0.0)
         r1 = np.random.default_rng(3)
         r2 = np.random.default_rng(3)
-        assert not pair_step(pop, Mode.HIERARCHY, self.HIER, r1).copied
-        r2.random(5)
+        log = pair_events(pop, Mode.HIERARCHY, self.HIER, r1)
+        assert not any(ev.copied for ev in log)
+        r2.random(5 * len(log))
         assert r1.bit_generator.state == r2.bit_generator.state
 
 
 class TestPairStep:
+    """The pair-event rule of ``sweep``, checked on every event it logs."""
+
     def test_requires_two_customers(self):
+        # at the minimum K=2 each event pairs the only two customers
         rng = np.random.default_rng(4)
         pop = make_population(rng, K=2)
-        # shrink below the minimum through a direct matrix hack is not
-        # possible (Population enforces K >= 2), so just check the happy path
-        ev = pair_step(pop, Mode.EQUALITY, KernelParams(p_copy=1.0), rng)
-        assert {ev.first, ev.partner} == {0, 1}
+        for _ in range(50):
+            for ev in pair_events(pop, Mode.EQUALITY, KernelParams(p_copy=1.0), rng):
+                assert {ev.first, ev.partner} == {0, 1}
 
     def test_pair_members_distinct(self):
         rng = np.random.default_rng(5)
         pop = make_population(rng, K=5, p_unknown=0.0)
         params = KernelParams(p_copy=0.5)
-        for _ in range(500):
-            ev = pair_step(pop, Mode.EQUALITY, params, rng)
-            assert ev.first != ev.partner
-            assert {ev.learner, ev.source} == {ev.first, ev.partner}
+        for _ in range(100):
+            for ev in pair_events(pop, Mode.EQUALITY, params, rng):
+                assert ev.first != ev.partner
+                assert {ev.learner, ev.source} == {ev.first, ev.partner}
 
     def test_hierarchy_full_rank_gap_always_copies(self):
         rng = np.random.default_rng(6)
         pop = make_population(rng, K=2, p_unknown=0.0, ranks=[0.0, 1.0])
         params = KernelParams(p_copy=1.0)
-        for _ in range(300):
-            ev = pair_step(pop, Mode.HIERARCHY, params, rng)
-            assert ev.learner == 0
-            assert ev.source == 1
-            assert ev.copied
+        for _ in range(150):
+            for ev in pair_events(pop, Mode.HIERARCHY, params, rng):
+                assert ev.learner == 0
+                assert ev.source == 1
+                assert ev.copied
 
     def test_hierarchy_equal_ranks_never_copy(self):
         rng = np.random.default_rng(7)
         pop = make_population(rng, K=4, p_unknown=0.0, ranks=[0.5, 0.5, 0.5, 0.5])
         params = KernelParams(p_copy=1.0)
-        for _ in range(1000):
-            ev = pair_step(pop, Mode.HIERARCHY, params, rng)
-            assert not ev.copied
+        for _ in range(250):
+            assert not any(ev.copied for ev in pair_events(pop, Mode.HIERARCHY, params, rng))
 
     def test_hierarchy_learner_is_lower_ranked(self):
         rng = np.random.default_rng(8)
         pop = make_population(rng, K=10, p_unknown=0.0)
         params = KernelParams(p_copy=1.0)
         ranks = pop.ranks
-        for _ in range(2000):
-            ev = pair_step(pop, Mode.HIERARCHY, params, rng)
-            if ev.copied:
-                assert ranks[ev.learner] < ranks[ev.source]
+        for _ in range(200):
+            for ev in pair_events(pop, Mode.HIERARCHY, params, rng):
+                assert ranks[ev.learner] <= ranks[ev.source]
+                if ev.copied:
+                    assert ranks[ev.learner] < ranks[ev.source]
 
     def test_equality_roles_are_fair(self):
         # binomial check: the first-drawn member learns, and either member of
@@ -195,12 +210,14 @@ class TestPairStep:
         rng = np.random.default_rng(9)
         pop = make_population(rng, K=2, p_unknown=0.0)
         params = KernelParams(p_copy=1.0)
-        n = 10_000
+        n = 0
         learner_zero = 0
-        for _ in range(n):
-            ev = pair_step(pop, Mode.EQUALITY, params, rng)
-            assert ev.copied
-            learner_zero += ev.learner == 0
+        for _ in range(5_000):
+            for ev in pair_events(pop, Mode.EQUALITY, params, rng):
+                assert ev.copied
+                assert ev.learner == ev.first
+                learner_zero += ev.learner == 0
+                n += 1
         phat = learner_zero / n
         sigma = (0.25 / n) ** 0.5
         assert abs(phat - 0.5) < 3 * sigma
@@ -373,32 +390,6 @@ class TestSweep:
         ref.random(expected)
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_sweep_equals_manual_step_sequence(self):
-        # one batched sweep and K explicit pair_steps plus the teacher
-        # channels must consume the stream identically
-        rng_a = np.random.default_rng(22)
-        rng_b = np.random.default_rng(22)
-        seed_pop = np.random.default_rng(500)
-        K = 12
-        pop_a = make_population(seed_pop, K=K, N=3, ranks=None)
-        pop_b = copy.deepcopy(pop_a)
-        params = KernelParams(p_copy=0.7, leader_pupils=0, shop_teach_rate=0.8)
-        sweep(pop_a, Mode.HIERARCHY, params, rng_a)
-
-        from brandsim import refresh_affiliations
-
-        for _ in range(K):
-            pair_step(pop_b, Mode.HIERARCHY, params, rng_b)
-        leader_step(pop_b, params, rng_b)
-        shop_step(pop_b, params, rng_b)
-        refresh_affiliations(pop_b)
-        pop_b.t += 1
-
-        assert np.array_equal(pop_a.wish_matrix, pop_b.wish_matrix)
-        assert np.array_equal(pop_a.affiliations, pop_b.affiliations)
-        assert pop_a.t == pop_b.t
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
     def test_determinism(self):
         out = []
         for _ in range(2):
@@ -425,17 +416,16 @@ class TestSweep:
         assert np.all((w == 0.0) | ((w > 0.0) & (w <= 1.0)))
 
     def test_contraction_on_copy(self):
+        # at K=2 every event pairs customers 0 and 1, so each copy, and the
+        # whole sweep, can only bring them closer
         rng = np.random.default_rng(25)
-        pop = make_population(rng, K=6, p_unknown=0.2)
         params = KernelParams(p_copy=1.0)
-        for _ in range(500):
-            w_before = pop.wish_matrix.copy()
-            ev = pair_step(pop, Mode.EQUALITY, params, rng)
-            d_before = distance(w_before[ev.learner], w_before[ev.source])
-            d_after = distance(
-                pop.wish_matrix[ev.learner], pop.wish_matrix[ev.source]
-            )
-            assert d_after <= d_before
+        for _ in range(300):
+            pop = make_population(rng, K=2, p_unknown=0.2)
+            d_before = distance(*pop.wish_matrix)
+            for ev in pair_events(pop, Mode.EQUALITY, params, rng):
+                assert {ev.learner, ev.source} == {0, 1}
+            assert distance(*pop.wish_matrix) <= d_before
 
 
 # --- scalar reference: one event at a time, in stream order -----------------

@@ -13,17 +13,30 @@ The ensemble cases pin the ``emit_summary`` text of whole ensembles, which
 reads each run's ``converged_at`` and final dominant brand: runs to
 consensus, runs that hit ``max_sweeps``, and leaders plus shops recorded
 every sweep and every fifth sweep.
+
+The pins hold for the numpy build they were taken on, named in ``PINNED_ON``.
+A failing pin prints it next to the running numpy and machine, since a
+numpy reduction whose order is numpy's reaches the CSV.
 """
 
 import hashlib
 import io
+import platform
+import sys
 
+import numpy
 import pytest
 
 from brandsim import Mode, SimConfig, emit_csv, emit_summary, ensemble, run
 from brandsim.dynamics import _MIN_BATCH
 
 EQ, HI = Mode.EQUALITY, Mode.HIERARCHY
+
+PINNED_ON = "numpy 2.4.6, x86_64, Python 3.11"
+ENVIRONMENT = (
+    f"pins taken on {PINNED_ON}; running numpy {numpy.__version__}, "
+    f"{platform.machine()}, Python {sys.version_info.major}.{sys.version_info.minor}"
+)
 
 # name: (config, sha256 of emit_csv, sha256 of the final wish_matrix bytes)
 GOLDEN = {
@@ -130,7 +143,7 @@ def run_hashes(config: dict) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_matches_golden_hashes(name):
     config, csv_hash, wish_hash = GOLDEN[name]
-    assert run_hashes(config) == (csv_hash, wish_hash)
+    assert run_hashes(config) == (csv_hash, wish_hash), ENVIRONMENT
 
 
 def test_cases_reach_the_batched_applier():
@@ -154,9 +167,9 @@ def summary_hash(config: dict, runs: int, parallel: int = 1) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN_ENSEMBLES))
 def test_ensemble_matches_golden_hash(name):
     config, runs, digest = GOLDEN_ENSEMBLES[name]
-    assert summary_hash(config, runs) == digest
+    assert summary_hash(config, runs) == digest, ENVIRONMENT
 
 
 def test_parallel_ensemble_matches_golden_hash():
     config, runs, digest = GOLDEN_ENSEMBLES["leaders_shops_record_every_1"]
-    assert summary_hash(config, runs, parallel=2) == digest
+    assert summary_hash(config, runs, parallel=2) == digest, ENVIRONMENT
