@@ -2,8 +2,9 @@
 # Smoke test of the installed `brandsim` entry point: run, ensemble and sweep
 # on a tiny config, run and ensemble on tiny hierarchy configs with leaders and
 # shops and with leaders teaching every non-leader, serial and parallel outputs
-# byte-equal, --seed equal to the seed in the file, bad input exits 2, a
-# missing config exits 3, and the module entry point answers --help.
+# byte-equal, --seed equal to the seed in the file, a sweep with no values
+# creates its output directory, bad input exits 2, a missing config exits 3,
+# and every subcommand and the module entry point answer --help.
 # Usage: smoke.sh DIR, where DIR is an empty scratch directory.
 set -eu
 dir="$1"
@@ -23,6 +24,9 @@ cmp "$dir/sweep/sweep_p_copy_0.txt" "$dir/sweep2/sweep_p_copy_0.txt"
 cmp "$dir/sweep/sweep_p_copy_1.txt" "$dir/sweep2/sweep_p_copy_1.txt"
 brandsim sweep --config "$cfg" --param K --values 4,6 --runs 2 --out "$dir/sweepk"
 test -s "$dir/sweepk/sweep_K_1.txt"
+# a value list with no value writes no summary but still creates --out
+brandsim sweep --config "$cfg" --param p_copy --values "," --out "$dir/sweep0"
+test -d "$dir/sweep0"
 code=0
 brandsim sweep --config "$cfg" --param K --values 4.5 --out "$dir/sweepk2" || code=$?
 test "$code" -eq 2
@@ -68,3 +72,6 @@ brandsim run --config "$dir/absent.cfg" --out "$dir/absent" || code=$?
 test "$code" -eq 3
 # the module entry point, as README.md runs it without installing
 python -m brandsim.cli --help > /dev/null
+for command in run ensemble sweep; do
+  brandsim "$command" --help > /dev/null
+done

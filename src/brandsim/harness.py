@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -116,31 +117,23 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
     # records draw nothing, so keeping only the first and last leaves each
     # run's converged_at and final dominant brand unchanged
-    children = [
-        dataclasses.replace(cfg, seed=derive_child_seed(cfg.seed, i),
-                            record_every=cfg.max_sweeps)
-        for i in range(runs)
-    ]
+    children = (dataclasses.replace(cfg, seed=derive_child_seed(cfg.seed, i),
+                                    record_every=cfg.max_sweeps) for i in range(runs))
     # a pool may start all its workers at once, so ask for no more than can be busy
     workers = min(parallel, runs, os.cpu_count() or 1)
-    if workers <= 1:
-        stats = [_run_stats(child) for child in children]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_run_stats, children))
-    converged = [(at, dom) for at, dom in stats if at is not None]
-    histogram = [0.0] * cfg.N
-    mean_sweeps = None
-    if converged:
-        for _, dom in converged:
-            histogram[dom] += 1.0
-        histogram = [h / len(converged) for h in histogram]
-        mean_sweeps = sum(at for at, _ in converged) / len(converged)
+    converged = sweeps = 0
+    histogram = [0] * cfg.N
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for at, dom in (pool.map if pool else map)(_run_stats, children):
+            if at is not None:
+                converged += 1
+                sweeps += at
+                histogram[dom] += 1
     return EnsembleSummary(
         runs=runs,
-        consensus_fraction=len(converged) / runs,
-        mean_sweeps_to_consensus=mean_sweeps,
-        dominant_brand_histogram=tuple(histogram),
+        consensus_fraction=converged / runs,
+        mean_sweeps_to_consensus=sweeps / converged if converged else None,
+        dominant_brand_histogram=tuple(h / converged if converged else 0.0 for h in histogram),
     )
 
 

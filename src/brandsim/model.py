@@ -192,12 +192,6 @@ class Population:
             for b, (row, count) in enumerate(zip(self.assortment_matrix, self.shop_counts))
         ]
 
-    def __repr__(self) -> str:
-        return (
-            f"Population(K={self.num_customers}, N={self.num_brands}, "
-            f"M={self.schema.num_needs}, t={self.t})"
-        )
-
 
 def _sq_distances(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
     """``sum_s (wish[k, s] - assortment[b, s])**2`` per row k and brand b, added in slot

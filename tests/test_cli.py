@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import os
@@ -44,6 +45,56 @@ def test_sweep_writes_one_summary_per_value(tmp_path, capsys):
         written = (out / f"sweep_p_copy_{i}.txt").read_bytes()
         assert written == expected.getvalue().encode("utf-8")
     assert "wrote 2 summaries" in capsys.readouterr().out
+
+
+def subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_OPTIONS = {  # option: (required, default, type)
+    "run": {"--config": (True, None, None), "--seed": (False, None, int),
+            "--out": (False, ".", None)},
+    "ensemble": {"--config": (True, None, None), "--seed": (False, None, int),
+                 "--out": (False, ".", None), "--runs": (True, None, int),
+                 "--parallel": (False, 1, int)},
+    "sweep": {"--config": (True, None, None), "--out": (False, ".", None),
+              "--param": (True, None, None), "--values": (True, None, None),
+              "--runs": (False, 1, int), "--parallel": (False, 1, int)},
+}
+
+
+def test_subcommand_options():
+    parsers = subcommands()
+    assert sorted(parsers) == sorted(_OPTIONS)
+    for name, parser in parsers.items():
+        options = {a.option_strings[0]: (a.required, a.default, a.type)
+                   for a in parser._actions if a.dest != "help"}
+        assert options == _OPTIONS[name], name
+        assert all(len(a.option_strings) == 1 for a in parser._actions if a.dest != "help")
+
+
+@pytest.mark.parametrize("argv, stdout, files", [
+    (["run"], "sweeps=20\nconverged_at=\nfluctuation=0.12779867861011493\ndominant=0\n"
+     "wrote {out}/timeseries.csv\n", ["timeseries.csv"]),
+    (["ensemble", "--runs", "2", "--seed", "9"],
+     "runs=2\nconsensus_fraction=0\nmean_sweeps_to_consensus=\ndominant_hist_0=0\n"
+     "dominant_hist_1=0\nwrote {out}/summary.txt\n", ["summary.txt"]),
+    (["sweep", "--param", "p_copy", "--values", "0.5,1", "--runs", "2"],
+     "p_copy=0.5 consensus_fraction=0 mean_sweeps_to_consensus=\n"
+     "p_copy=1.0 consensus_fraction=0 mean_sweeps_to_consensus=\n"
+     "wrote 2 summaries to {out}\n", ["sweep_p_copy_0.txt", "sweep_p_copy_1.txt"]),
+    # no value at all still creates --out
+    (["sweep", "--param", "p_copy", "--values", " "], "wrote 0 summaries to {out}\n", []),
+], ids=["run", "ensemble", "sweep", "sweep_no_values"])
+def test_stdout_and_files(tmp_path, capsys, argv, stdout, files):
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--config", write_config(tmp_path, TINY), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == stdout.format(out=out)
+    assert captured.err == ""
+    assert sorted(p.name for p in out.iterdir()) == files
 
 
 def test_sweep_parallel_writes_the_serial_bytes(tmp_path):

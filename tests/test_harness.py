@@ -201,6 +201,41 @@ class TestEnsemble:
         assert set(summary.dominant_brand_histogram) == {0.0}
 
 
+    def test_folds_converged_runs_only(self, monkeypatch):
+        stats = iter([(5, 1), (None, 0), (7, 1), (3, 0)])
+        monkeypatch.setattr(harness, "_run_stats", lambda child: next(stats))
+        summary = ensemble(cfg(), 4)
+        assert summary == EnsembleSummary(4, 0.75, 5.0, (1 / 3, 2 / 3))
+
+    def test_fold_of_no_converged_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_stats", lambda child: (None, 1))
+        summary = ensemble(cfg(N=3), 2)
+        assert summary == EnsembleSummary(2, 0.0, None, (0.0, 0.0, 0.0))
+        assert all(type(h) is float for h in summary.dominant_brand_histogram)
+
+    def test_children_are_built_as_they_run(self, monkeypatch):
+        c = cfg()
+        built, ran = [], []
+
+        def child_seed(base, index):
+            built.append(index)
+            return derive_child_seed(base, index)
+
+        def run_stats(child):
+            ran.append(child)
+            if len(ran) == 4:
+                raise RuntimeError("fourth run")
+            return None, 0
+
+        monkeypatch.setattr(harness, "derive_child_seed", child_seed)
+        monkeypatch.setattr(harness, "_run_stats", run_stats)
+        # a modest count: building every child up front would cost time, not memory
+        with pytest.raises(RuntimeError, match="fourth run"):
+            ensemble(c, 10**4)
+        assert built == [0, 1, 2, 3]
+        assert ran == [dataclasses.replace(c, seed=derive_child_seed(c.seed, i),
+                                           record_every=c.max_sweeps) for i in range(4)]
+
 class TestRunStats:
     @pytest.mark.parametrize("record_every", [1, 7])
     @pytest.mark.parametrize("changes, converged_at", [
