@@ -3,8 +3,9 @@
 # on a tiny config, run and ensemble on tiny hierarchy configs with leaders and
 # shops and with leaders teaching every non-leader, serial and parallel outputs
 # byte-equal, --seed equal to the seed in the file, a sweep with no values
-# creates its output directory, bad input exits 2, a missing config exits 3,
-# and every subcommand and the module entry point answer --help.
+# creates its output directory, bad input (arrays too large for numpy too)
+# exits 2, a missing config exits 3, and every subcommand and the module entry
+# point answer --help.
 # Usage: smoke.sh DIR, where DIR is an empty scratch directory.
 set -eu
 dir="$1"
@@ -61,6 +62,14 @@ test "$code" -eq 2
 code=0
 brandsim run --config "$dir/rate.cfg" --out "$dir/rate" || code=$?
 test "$code" -eq 2
+# arrays with few enough cells for an index but too many bytes for numpy
+printf 'N = 2\nK = 1152921504606846976\nM = 1\nmode = equality\nseed = 5\n' > "$dir/cells.cfg"
+printf 'N = 1\nK = 6\nM = 1\nmode = equality\nseed = 5\nshop_counts = 1152921504606846976\nshop_teach_rate = 1\n' > "$dir/shops.cfg"
+for big in cells shops; do
+  code=0
+  brandsim run --config "$dir/$big.cfg" --out "$dir/$big" || code=$?
+  test "$code" -eq 2
+done
 # --seed overrides the file's seed: the same bytes as the file with that seed
 sed 's/^seed = .*/seed = 9/' "$cfg" > "$dir/seed9.cfg"
 brandsim run --config "$cfg" --seed 9 --out "$dir/seedflag"

@@ -5,16 +5,15 @@ under peer, rank-gated and broadcast influence channels until the population
 reaches consensus; brand dominance then follows from customer counts.
 """
 
-from .config import SimConfig, load_config, parse_config_text
-from .dynamics import (
+from .config import (
     KernelParams,
     Mode,
-    PairEvent,
-    leader_step,
+    SimConfig,
+    load_config,
+    parse_config_text,
     shop_event_count,
-    shop_step,
-    sweep,
 )
+from .dynamics import PairEvent, leader_step, shop_step, sweep
 from .errors import ConfigurationError
 from .harness import (
     EnsembleSummary,

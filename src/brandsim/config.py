@@ -1,4 +1,7 @@
-"""Run configuration and the ``key = value`` config-file format.
+"""Every input rule: :class:`Mode`, :class:`KernelParams`, the :class:`SimConfig`
+extending it, the coercions and bounds that :mod:`brandsim.model` applies too, and
+the ``key = value`` config-file format.  The package's bottom layer, importing only
+:mod:`brandsim.errors`.  ``_KINDS`` gives each annotation its parser and coercion.
 
 A config file is flat UTF-8 text, one ``key = value`` per line, with ``#``
 starting a comment.  Keys are exactly the :class:`SimConfig` field names;
@@ -10,22 +13,146 @@ required, everything else falls back to the documented default.
 
 from __future__ import annotations
 
+import enum
+import math
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
-from .dynamics import KernelParams, Mode, shop_event_count
 from .errors import ConfigurationError
-from .model import MAX_SUBENTRIES, check_shop_counts
 
-_MAX_SEED = (1 << 64) - 1
+#: Largest number of subentries a single need may carry.
+MAX_SUBENTRIES = 5
+
+
+class Mode(enum.Enum):
+    """Which pair-interaction kernel a run uses."""
+
+    EQUALITY = "equality"
+    HIERARCHY = "hierarchy"
+
+
+def _coerce_int(name: str, value) -> int:
+    """``value`` as a Python int; anything but an integer (a bool, a float, a
+    string) is a :class:`ConfigurationError` naming ``name``, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _coerce_float(name: str, value) -> float:
+    """``value`` as a Python float; a bool or a non-real is a :class:`ConfigurationError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _coerce_ints(name: str, values) -> tuple[int, ...]:
+    """:func:`_coerce_int` over ``values``, which must be iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be a sequence, got {values!r}") from None
+    return tuple(_coerce_int(f"{name} entry", v) for v in items)
+
+
+def check_shop_counts(shop_counts: Sequence[int], N: int) -> tuple[int, ...]:
+    """The shop counts as a tuple of Python ints: one per brand, each >= 1.
+
+    A tuple rather than an int64 array, so a count too large for 64 bits
+    stays valid wherever no shop event is drawn (a teaching rate of 0).
+    """
+    counts = _coerce_ints("shop_counts", shop_counts)
+    if len(counts) != N:
+        raise ConfigurationError(
+            f"shop_counts must have one entry per brand (N={N}), got {len(counts)}"
+        )
+    if any(s < 1 for s in counts):
+        raise ConfigurationError("shop_counts entries must be >= 1")
+    return counts
+
+
+def shop_event_count(shop_teach_rate: float, shop_count: int) -> int:
+    """Teaching events one brand performs per sweep (banker's rounding)."""
+    return int(round(shop_teach_rate * shop_count))
+
+
+def _fits(cells: int) -> bool:
+    """Whether a float64 array of ``cells`` cells is within numpy's size limit in bytes."""
+    return 8 * cells <= sys.maxsize
+
+
+def _parse_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"{key} expects an integer, got {text!r}") from None
+
+
+def _parse_float(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigurationError(f"{key} expects a number, got {text!r}") from None
+
+
+def _parse_mode(key: str, text: str) -> Mode:
+    try:
+        return Mode(text.strip().lower())
+    except ValueError:
+        raise ConfigurationError(
+            f"{key} must be one of {sorted(m.value for m in Mode)}, got {text!r}"
+        ) from None
+
+
+def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
+    return tuple(_parse_int(key, part.strip()) for part in text.split(","))
+
+
+# per field annotation, "X | None" as X: its config-file parser and constructor coercion
+_KINDS = {
+    "int": (_parse_int, _coerce_int),
+    "float": (_parse_float, _coerce_float),
+    "Mode": (_parse_mode, None),
+    "tuple[int, ...]": (_parse_int_list, None),
+}
+_KINDS.update({f"{annotation} | None": kind for annotation, kind in _KINDS.items()})
+
+
+@dataclass(frozen=True)
+class KernelParams:
+    """Rates for the three influence channels, declared and checked only here:
+    :class:`SimConfig` extends this class, so the kernels take a run's config
+    as it is, and this class coerces the int and float fields of both.  The
+    pupil bound, which needs K, is not checked here."""
+
+    p_copy: float = 1.0
+    leader_pupils: int = 0
+    shop_teach_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        # a SimConfig's own fields too; an annotation ending in "| None" lets None through
+        for f in fields(self):
+            coerce = _KINDS[f.type][1]
+            value = getattr(self, f.name)
+            if coerce is not None and not (value is None and f.type.endswith(" | None")):
+                object.__setattr__(self, f.name, coerce(f.name, value))
+        if not 0.0 <= self.p_copy <= 1.0:
+            raise ConfigurationError(f"p_copy must lie in [0, 1], got {self.p_copy}")
+        if self.leader_pupils < 0:
+            raise ConfigurationError(f"leader_pupils must be >= 0, got {self.leader_pupils}")
+        if not 0.0 <= self.shop_teach_rate < math.inf:
+            raise ConfigurationError(
+                f"shop_teach_rate must be finite and >= 0, got {self.shop_teach_rate}"
+            )
 
 
 @dataclass(frozen=True, kw_only=True)
 class SimConfig(KernelParams):
     """Everything a run needs besides the generator itself.  The kernel rates are
-    declared and checked in the base class :class:`~brandsim.dynamics.KernelParams`;
-    the fields declared here are keyword-only."""
+    those of the base class :class:`KernelParams`; the other fields are keyword-only."""
 
     N: int
     K: int
@@ -52,17 +179,15 @@ class SimConfig(KernelParams):
         if self.M < 1:
             raise ConfigurationError(f"M must be >= 1, got {self.M}")
         # the widest array a run allocates has max(N, K) rows of at most 5 * M slots
-        if max(self.N, self.K) * MAX_SUBENTRIES * self.M > sys.maxsize:
+        if not _fits(max(self.N, self.K) * MAX_SUBENTRIES * self.M):
             raise ConfigurationError(
-                f"N, K and M ask for arrays larger than any index can address: "
-                f"max(N, K) * {MAX_SUBENTRIES} * M must stay at most {sys.maxsize}"
+                f"N, K and M ask for arrays larger than numpy can allocate: 8 bytes * "
+                f"max(N, K) * {MAX_SUBENTRIES} * M must stay at most {sys.maxsize} bytes"
             )
-        if not 0 <= self.seed <= _MAX_SEED:
+        if not 0 <= self.seed < 1 << 64:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
         if not 0.0 <= self.p_unknown <= 1.0:
-            raise ConfigurationError(
-                f"p_unknown must lie in [0, 1], got {self.p_unknown}"
-            )
+            raise ConfigurationError(f"p_unknown must lie in [0, 1], got {self.p_unknown}")
         if not 0 <= self.leader_count < self.K:
             raise ConfigurationError(
                 f"leader_count must lie in [0, K), got {self.leader_count}"
@@ -95,57 +220,22 @@ class SimConfig(KernelParams):
                 )
             except OverflowError:  # the product left the float range
                 shop_events = sys.maxsize
-            if 4 * shop_events > sys.maxsize:
+            if not _fits(4 * shop_events):
                 raise ConfigurationError(
-                    "shop_teach_rate * shop_counts asks for more shop events per "
-                    "sweep than one array can hold"
+                    "shop_teach_rate * shop_counts asks for more shop events per sweep "
+                    "than one array can hold: 8 bytes * 4 uniforms * events must stay "
+                    f"at most {sys.maxsize} bytes"
                 )
         if not self.epsilon > 0.0:
             raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_sweeps < 1:
             raise ConfigurationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.record_every < 1:
-            raise ConfigurationError(
-                f"record_every must be >= 1, got {self.record_every}"
-            )
+            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigurationError(f"{key} expects an integer, got {text!r}") from None
-
-
-def _parse_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(f"{key} expects a number, got {text!r}") from None
-
-
-def _parse_mode(key: str, text: str) -> Mode:
-    try:
-        return Mode(text.strip().lower())
-    except ValueError:
-        raise ConfigurationError(
-            f"{key} must be one of {sorted(m.value for m in Mode)}, got {text!r}"
-        ) from None
-
-
-def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
-    return tuple(_parse_int(key, part.strip()) for part in text.split(","))
-
-
-# per annotation, less any "| None": the config-file parser
-_KINDS = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "Mode": _parse_mode,
-    "tuple[int, ...]": _parse_int_list,
-}
 # per field: its parser; an annotation that no parser reads fails here, at import
-_FIELD_KINDS = {f.name: _KINDS[f.type.removesuffix(" | None")] for f in fields(SimConfig)}
+_FIELD_KINDS = {f.name: _KINDS[f.type][0] for f in fields(SimConfig)}
 
 
 def parse_value(key: str, text: str):

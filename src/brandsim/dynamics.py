@@ -35,63 +35,13 @@ operation:
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import KernelParams, Mode, shop_event_count
 from .errors import ConfigurationError
-from .model import (
-    NeedSchema,
-    Population,
-    _coerce_float,
-    _coerce_int,
-    index_from_uniform,
-    refresh_affiliations,
-)
-
-
-class Mode(enum.Enum):
-    """Which pair-interaction kernel a run uses."""
-
-    EQUALITY = "equality"
-    HIERARCHY = "hierarchy"
-
-
-#: per field annotation, less any "| None": the coercion of a constructor value
-_COERCIONS = {"int": _coerce_int, "float": _coerce_float}
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Rates for the three influence channels, declared and checked only here:
-    :class:`~brandsim.config.SimConfig` extends this class, so the kernels take
-    a run's config as it is, and this class coerces the int and float fields of
-    both.  The pupil bound, which needs K, is not checked here."""
-
-    p_copy: float = 1.0
-    leader_pupils: int = 0
-    shop_teach_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        # a SimConfig's own fields too; an annotation ending in "| None" lets None through
-        for f in fields(self):
-            coerce = _COERCIONS.get(f.type.removesuffix(" | None"))
-            value = getattr(self, f.name)
-            if coerce is not None and not (value is None and f.type.endswith(" | None")):
-                object.__setattr__(self, f.name, coerce(f.name, value))
-        if not 0.0 <= self.p_copy <= 1.0:
-            raise ConfigurationError(f"p_copy must lie in [0, 1], got {self.p_copy}")
-        if self.leader_pupils < 0:
-            raise ConfigurationError(
-                f"leader_pupils must be >= 0, got {self.leader_pupils}"
-            )
-        if not 0.0 <= self.shop_teach_rate < math.inf:
-            raise ConfigurationError(
-                f"shop_teach_rate must be finite and >= 0, got {self.shop_teach_rate}"
-            )
+from .model import NeedSchema, Population, index_from_uniform, refresh_affiliations
 
 
 class PairEvent(NamedTuple):
@@ -284,11 +234,6 @@ def leader_step(
     return len(_copy_rows(wish, wish[list(leaders)], _draw_pupils(leaders, K, u[:, :pupils]),
                           np.repeat(np.arange(L), pupils),
                           u[:, pupils:].reshape(-1, 3), params.p_copy, pop.schema))
-
-
-def shop_event_count(shop_teach_rate: float, shop_count: int) -> int:
-    """Teaching events one brand performs per sweep (banker's rounding)."""
-    return int(round(shop_teach_rate * shop_count))
 
 
 def shop_step(

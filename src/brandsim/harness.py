@@ -19,11 +19,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import SimConfig, parse_value
+from .config import SimConfig, _coerce_int, parse_value
 from .dynamics import sweep
 from .errors import ConfigurationError
 from .metrics import TimeSeriesRecord, _surely_dispersed, fluctuation, snapshot
-from .model import Population, _coerce_int, init_population
+from .model import Population, init_population
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1

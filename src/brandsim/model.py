@@ -6,71 +6,26 @@ value of exactly ``0.0`` encodes an unknown need; known values lie in
 ``(0, 1]``.  A population holds every customer's wishes as the rows of one
 K x S matrix and every brand's fixed assortment, with all slots known, as
 the rows of an N x S matrix, plus one shop count per brand used as a
-teaching weight.
+teaching weight.  Its input rules (coercions, the shop-count check and
+``MAX_SUBENTRIES``) are those of :mod:`brandsim.config`.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import MAX_SUBENTRIES, SimConfig, _coerce_int, _coerce_ints, check_shop_counts
 from .errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from .config import SimConfig
-
-#: Largest number of subentries a single need may carry.
-MAX_SUBENTRIES = 5
 
 
 def index_from_uniform(u, n):
     """The one bounded-index rule: ``floor(u * n)`` for uniforms ``u`` in [0, 1), clamped
     so rounding never gives ``n`` itself.  ``u`` and ``n`` are scalars or per-draw arrays."""
     return np.minimum(np.multiply(u, n).astype(np.int64), n - 1)
-
-
-def _coerce_int(name: str, value) -> int:
-    """``value`` as a Python int; anything but an integer (a bool, a float, a
-    string) is a :class:`ConfigurationError` naming ``name``, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _coerce_float(name: str, value) -> float:
-    """``value`` as a Python float; a bool or a non-real is a :class:`ConfigurationError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _coerce_ints(name: str, values) -> tuple[int, ...]:
-    """:func:`_coerce_int` over ``values``, which must be iterable."""
-    try:
-        items = iter(values)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be a sequence, got {values!r}") from None
-    return tuple(_coerce_int(f"{name} entry", v) for v in items)
-
-
-def check_shop_counts(shop_counts: Sequence[int], N: int) -> tuple[int, ...]:
-    """The shop counts as a tuple of Python ints: one per brand, each >= 1.
-
-    A tuple rather than an int64 array, so a count too large for 64 bits
-    stays valid wherever no shop event is drawn (a teaching rate of 0).
-    """
-    counts = _coerce_ints("shop_counts", shop_counts)
-    if len(counts) != N:
-        raise ConfigurationError(
-            f"shop_counts must have one entry per brand (N={N}), got {len(counts)}"
-        )
-    if any(s < 1 for s in counts):
-        raise ConfigurationError("shop_counts entries must be >= 1")
-    return counts
 
 
 @dataclass(frozen=True)
@@ -255,7 +210,7 @@ def init_schema(num_needs: int, rng: np.random.Generator) -> NeedSchema:
     return NeedSchema(tuple((index_from_uniform(u, MAX_SUBENTRIES) + 1).tolist()))
 
 
-def init_population(cfg: "SimConfig", rng: np.random.Generator) -> Population:
+def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
     """Draw the starting population for a run.
 
     Draw order (all uniforms from the single stream): M schema draws, then

@@ -241,6 +241,24 @@ def test_run_rejects_size_beyond_index_range(tmp_path, capsys, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "sizes,key",
+    [
+        (f"N = 2\nK = {2**60}\nM = 1\n", "K"),
+        (f"N = 1\nK = 6\nM = 1\nshop_counts = {2**60}\nshop_teach_rate = 1\n", "shop_counts"),
+    ],
+    ids=["cells", "shop_events"],
+)
+def test_run_rejects_array_beyond_numpy_byte_limit(tmp_path, capsys, sizes, key):
+    # either array has few enough cells for an index but too many bytes for numpy
+    text = sizes + "mode = equality\nseed = 5\n"
+    code = cli.main(["run", "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")

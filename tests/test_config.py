@@ -104,6 +104,20 @@ class TestSimConfig:
         # fine when the channel is off: no shop event is ever drawn
         self.base(shop_teach_rate=0.0, shop_counts=(1, 10**400))
 
+    @pytest.mark.parametrize(
+        "sizes,key",
+        [
+            (dict(N=2, K=2**60, M=1), "K"),
+            (dict(N=1, K=6, M=1, shop_counts=(2**60,), shop_teach_rate=1), "shop_counts"),
+        ],
+        ids=["cells", "shop_events"],
+    )
+    def test_array_beyond_numpy_byte_limit_rejected(self, sizes, key):
+        # few enough cells for an index, but too many bytes for numpy
+        with pytest.raises(ConfigurationError, match="bytes") as exc:
+            self.base(**sizes)
+        assert key in str(exc.value)
+
     def test_shop_counts_length_checked(self):
         with pytest.raises(ConfigurationError):
             self.base(shop_counts=(1, 1, 1))
