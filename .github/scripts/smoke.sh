@@ -2,8 +2,9 @@
 # Smoke test of the installed `brandsim` entry point: run, ensemble and sweep
 # on a tiny config, run and ensemble on tiny hierarchy configs with leaders and
 # shops and with leaders teaching every non-leader, serial and parallel outputs
-# byte-equal, --seed equal to the seed in the file, a sweep with no values
-# creates its output directory, bad input (arrays too large for numpy too)
+# byte-equal (an ensemble of more runs than the pool keeps in flight too), --seed
+# equal to the seed in the file, a sweep with no values creates its output
+# directory, bad input (arrays too large for numpy and a malformed list too)
 # exits 2, a missing config exits 3, and every subcommand and the module entry
 # point answer --help.
 # Usage: smoke.sh DIR, where DIR is an empty scratch directory.
@@ -17,6 +18,10 @@ brandsim ensemble --config "$cfg" --runs 2 --out "$dir/ens"
 test -s "$dir/ens/summary.txt"
 brandsim ensemble --config "$cfg" --runs 2 --parallel 2 --out "$dir/ens2"
 cmp "$dir/ens/summary.txt" "$dir/ens2/summary.txt"
+# more runs than the pool keeps in flight at once (four per worker)
+brandsim ensemble --config "$cfg" --runs 20 --parallel 1 --out "$dir/ens20"
+brandsim ensemble --config "$cfg" --runs 20 --parallel 2 --out "$dir/ens20p"
+cmp "$dir/ens20/summary.txt" "$dir/ens20p/summary.txt"
 brandsim sweep --config "$cfg" --param p_copy --values 0.5,1 --runs 2 --out "$dir/sweep"
 test -s "$dir/sweep/sweep_p_copy_0.txt"
 test -s "$dir/sweep/sweep_p_copy_1.txt"
@@ -56,6 +61,11 @@ brandsim run --config "$dir/bad.cfg" --out "$dir/bad" || code=$?
 test "$code" -eq 2
 code=0
 brandsim ensemble --config "$cfg" --runs 0 --out "$dir/ens0" || code=$?
+test "$code" -eq 2
+# an empty entry in an int list is a parse error
+{ cat "$cfg"; echo 'shop_counts = 1,,2'; } > "$dir/list.cfg"
+code=0
+brandsim run --config "$dir/list.cfg" --out "$dir/list" || code=$?
 test "$code" -eq 2
 # a kernel rate out of range is rejected by the checks SimConfig inherits
 { cat "$cfg"; echo 'p_copy = 1.5'; } > "$dir/rate.cfg"

@@ -6,6 +6,7 @@ reaches consensus; brand dominance then follows from customer counts.
 """
 
 from .config import (
+    ConfigurationError,
     KernelParams,
     Mode,
     SimConfig,
@@ -14,7 +15,6 @@ from .config import (
     shop_event_count,
 )
 from .dynamics import PairEvent, leader_step, shop_step, sweep
-from .errors import ConfigurationError
 from .harness import (
     EnsembleSummary,
     RunResult,

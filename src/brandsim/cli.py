@@ -7,8 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import SimConfig, load_config
-from .errors import ConfigurationError
+from .config import ConfigurationError, SimConfig, load_config
 from .harness import _SWEEPABLE, _fmt, emit_csv, emit_summary, ensemble, run, sweep_param
 
 EXIT_OK = 0

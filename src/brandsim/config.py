@@ -1,7 +1,9 @@
-"""Every input rule: :class:`Mode`, :class:`KernelParams`, the :class:`SimConfig`
-extending it, the coercions and bounds that :mod:`brandsim.model` applies too, and
-the ``key = value`` config-file format.  The package's bottom layer, importing only
-:mod:`brandsim.errors`.  ``_KINDS`` gives each annotation its parser and coercion.
+"""Every input rule: :class:`ConfigurationError`, which every input check raises,
+:class:`Mode`, :class:`KernelParams`, the :class:`SimConfig` extending it, the
+coercions and bounds that :mod:`brandsim.model` applies too, and the ``key =
+value`` config-file format.  The package's bottom layer: it imports nothing from
+the package.  ``_KINDS`` gives each annotation its converter, the wording of its
+parse error and its coercion.
 
 A config file is flat UTF-8 text, one ``key = value`` per line, with ``#``
 starting a comment.  Keys are exactly the :class:`SimConfig` field names;
@@ -21,7 +23,10 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigurationError
+
+class ConfigurationError(ValueError):
+    """Raised when run parameters or inputs violate a documented precondition."""
+
 
 #: Largest number of subentries a single need may carry.
 MAX_SUBENTRIES = 5
@@ -84,39 +89,15 @@ def _fits(cells: int) -> bool:
     return 8 * cells <= sys.maxsize
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigurationError(f"{key} expects an integer, got {text!r}") from None
-
-
-def _parse_float(key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(f"{key} expects a number, got {text!r}") from None
-
-
-def _parse_mode(key: str, text: str) -> Mode:
-    try:
-        return Mode(text.strip().lower())
-    except ValueError:
-        raise ConfigurationError(
-            f"{key} must be one of {sorted(m.value for m in Mode)}, got {text!r}"
-        ) from None
-
-
-def _parse_int_list(key: str, text: str) -> tuple[int, ...]:
-    return tuple(_parse_int(key, part.strip()) for part in text.split(","))
-
-
-# per field annotation, "X | None" as X: its config-file parser and constructor coercion
+# per field annotation, "X | None" as X: its config-file converter, the wording
+# of the error when that converter fails, and its constructor coercion
 _KINDS = {
-    "int": (_parse_int, _coerce_int),
-    "float": (_parse_float, _coerce_float),
-    "Mode": (_parse_mode, None),
-    "tuple[int, ...]": (_parse_int_list, None),
+    "int": (int, "expects an integer", _coerce_int),
+    "float": (float, "expects a number", _coerce_float),
+    "Mode": (lambda text: Mode(text.strip().lower()),
+             f"must be one of {sorted(m.value for m in Mode)}", None),
+    "tuple[int, ...]": (lambda text: tuple(int(part) for part in text.split(",")),
+                        "expects comma-separated integers", None),
 }
 _KINDS.update({f"{annotation} | None": kind for annotation, kind in _KINDS.items()})
 
@@ -135,7 +116,7 @@ class KernelParams:
     def __post_init__(self) -> None:
         # a SimConfig's own fields too; an annotation ending in "| None" lets None through
         for f in fields(self):
-            coerce = _KINDS[f.type][1]
+            coerce = _KINDS[f.type][2]
             value = getattr(self, f.name)
             if coerce is not None and not (value is None and f.type.endswith(" | None")):
                 object.__setattr__(self, f.name, coerce(f.name, value))
@@ -234,13 +215,17 @@ class SimConfig(KernelParams):
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
 
 
-# per field: its parser; an annotation that no parser reads fails here, at import
-_FIELD_KINDS = {f.name: _KINDS[f.type][0] for f in fields(SimConfig)}
+# per field: its converter and error wording; an annotation _KINDS lacks fails here, at import
+_FIELD_KINDS = {f.name: _KINDS[f.type][:2] for f in fields(SimConfig)}
 
 
 def parse_value(key: str, text: str):
     """Parse one config-file value for ``key``, as a ``key = value`` line would."""
-    return _FIELD_KINDS[key](key, text)
+    convert, wording = _FIELD_KINDS[key]
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigurationError(f"{key} {wording}, got {text!r}") from None
 
 
 def parse_config_text(text: str) -> SimConfig:

@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import KernelParams, Mode, shop_event_count
-from .errors import ConfigurationError
+from .config import ConfigurationError, KernelParams, Mode, shop_event_count
 from .model import NeedSchema, Population, index_from_uniform, refresh_affiliations
 
 
@@ -119,9 +118,10 @@ def _apply_copies(
     cell, order = _divmod(key, n)
     w = val[order]  # the value each sorted write carries; 0 means no copy
     if np.shares_memory(dst, src):
-        rcell, reader = _divmod(np.sort(src_idx * n + events), n)
+        rkey = np.sort(src_idx * n + events)  # the reads, keyed by (cell, event) as the writes are
+        rcell, reader = _divmod(rkey, n)
         # the last write to the read's cell by an earlier event, if any
-        pos = np.searchsorted(key, rcell * n + reader) - 1
+        pos = np.searchsorted(key, rkey) - 1
         hit = (pos >= 0) & (cell[pos] == rcell)
         reader, pos, rcell = reader[hit], pos[hit], rcell[hit]
         if len(reader):

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import SimConfig, _coerce_int, parse_value
+from .config import ConfigurationError, SimConfig, _coerce_int, parse_value
 from .dynamics import sweep
-from .errors import ConfigurationError
 from .metrics import TimeSeriesRecord, _surely_dispersed, fluctuation, snapshot
 from .model import Population, init_population
 
@@ -103,6 +103,19 @@ def _run_stats(cfg: SimConfig) -> tuple[int | None, int]:
     return result.converged_at, result.records[-1].dominant
 
 
+def _windowed(pool: Executor, children: Iterator[SimConfig], window: int) -> Iterator:
+    """``pool.map(_run_stats, children)`` with at most ``window`` runs submitted and
+    not yet taken, where ``Executor.map`` submits every child before it yields the
+    first result."""
+    pending: deque[Future] = deque()
+    for child in children:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_run_stats, child))
+    while pending:
+        yield pending.popleft().result()
+
+
 def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     """Aggregate ``runs`` independent simulations.
 
@@ -124,7 +137,9 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     converged = sweeps = 0
     histogram = [0] * cfg.N
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for at, dom in (pool.map if pool else map)(_run_stats, children):
+        # four runs in flight per worker keep each busy while results are taken in order
+        results = _windowed(pool, children, 4 * workers) if pool else map(_run_stats, children)
+        for at, dom in results:
             if at is not None:
                 converged += 1
                 sweeps += at

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_SUBENTRIES, SimConfig, _coerce_int, _coerce_ints, check_shop_counts
-from .errors import ConfigurationError
+from .config import (MAX_SUBENTRIES, ConfigurationError, SimConfig, _coerce_int, _coerce_ints,
+                     check_shop_counts)
 
 
 def index_from_uniform(u, n):

@@ -210,10 +210,16 @@ class TestParsing:
             parse_config_text(MINIMAL + "\np_copy = 1.5\n")
         assert "p_copy" in str(exc.value)
 
-    def test_type_error_names_key(self):
+    @pytest.mark.parametrize("key, text", [
+        ("max_sweeps", "soon"), ("p_copy", "half"), ("mode", "anarchy"), ("shop_counts", "1,,2"),
+    ], ids=["max_sweeps", "p_copy", "mode", "shop_counts"])
+    def test_type_error_names_key(self, key, text):
+        # one malformed value per kind: int, float, Mode and int list
+        lines = [line for line in MINIMAL.splitlines() if not line.startswith(key)]
         with pytest.raises(ConfigurationError) as exc:
-            parse_config_text(MINIMAL + "\nmax_sweeps = soon\n")
-        assert "max_sweeps" in str(exc.value)
+            parse_config_text("\n".join(lines) + f"\n{key} = {text}\n")
+        assert key in str(exc.value)
+        assert repr(text) in str(exc.value)
 
     def test_malformed_line(self):
         with pytest.raises(ConfigurationError):

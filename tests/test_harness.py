@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from concurrent.futures import Executor
 
 import numpy as np
 import pytest
@@ -235,6 +236,47 @@ class TestEnsemble:
         assert built == [0, 1, 2, 3]
         assert ran == [dataclasses.replace(c, seed=derive_child_seed(c.seed, i),
                                            record_every=c.max_sweeps) for i in range(4)]
+
+    def test_pool_keeps_at_most_four_runs_per_worker_in_flight(self, monkeypatch):
+        submitted, taken, in_flight = [], [], []
+
+        class Future:
+            def __init__(self, fn, child):
+                self.fn, self.child = fn, child
+
+            def result(self, timeout=None):
+                taken.append(self.child)
+                return self.fn(self.child)
+
+            def cancel(self):
+                return False
+
+        class Pool(Executor):  # Executor.map submits through submit, as a pool does
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def submit(self, fn, child):
+                submitted.append(child)
+                in_flight.append(len(submitted) - len(taken))
+                return Future(fn, child)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_run_stats", lambda child: (None, 0))
+        c = cfg()
+        summary = ensemble(c, 10**4, parallel=2)
+        assert summary == EnsembleSummary(10**4, 0.0, None, (0.0, 0.0))
+        assert max(in_flight) == 8
+        # taken in the order submitted, which is run order
+        assert taken == submitted
+        assert [child.seed for child in submitted[:3]] == [
+            derive_child_seed(c.seed, i) for i in range(3)]
+
+    def test_pooled_runs_beyond_one_window_match_serial(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        c = cfg(K=8, M=2, max_sweeps=300)
+        assert ensemble(c, 20, parallel=2) == ensemble(c, 20)
+
 
 class TestRunStats:
     @pytest.mark.parametrize("record_every", [1, 7])

@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "brandsim"
-LAYERS = ("errors", "config", "model", "dynamics", "metrics", "harness", "cli")
+LAYERS = ("config", "model", "dynamics", "metrics", "harness", "cli")
 
 
 def relative_imports(tree):
