@@ -83,22 +83,21 @@ def _apply_copies(
     Batches of fewer than ``_MIN_BATCH`` events run that sequential loop.
     Larger ones take a numpy path with the same result bit for bit, whose
     temporaries all have one entry per event.  On batches with a shared
-    source into 6·10⁴ cells (2-vCPU Xeon, medians of 7 x 200 batches) the
-    loop took 22-24 µs at 64 events against 50 µs, 70-76 µs at 256 against
-    82-91 µs, and 110-112 µs at 384, as the numpy path did; at 512 the
-    numpy path was 2-9% faster.  256 is kept: it keeps the 50-event pair
+    source into 6·10⁴ cells (2-vCPU Xeon, medians of 7 x 200 batches, five
+    runs) the loop took 13-21 µs at 64 events against 28-48 µs, 49-76 µs at
+    256 against 48-62 µs, 93-120 µs at 384 against 47-76 µs, and 99-156 µs
+    at 512 against 66-88 µs.  256 is kept: it keeps the 50-event pair
     batches of K=50 runs on the loop, no benchmark workload sends a batch
     of 256 to 384 events, and the golden runs pin numpy-path leader and
     shop batches of 320 and 360 events.
 
-    The numpy path reads every source before the batch, then repairs the
-    reads of a cell that an earlier event of the batch wrote (hazards,
-    possible only when ``src`` is ``dst``).  Each round of a forward fill
-    over the writes, sorted by (cell, event), gives every hazard the value
-    of the last copying write to its cell before it, or else the value
-    before the batch.  Dependencies point strictly backward, so the rounds
-    stop at the unique fixed point.  Each cell then takes its last copying
-    write; numpy's order of repeated fancy writes is never relied on.
+    The numpy path reads every source before the batch, then replays, in
+    event order, each read of a cell that an earlier event of the batch wrote
+    (a hazard, possible only when ``src`` is ``dst``): it takes the value of
+    the last copying write to its cell before it, else the value before the
+    batch.  That write's event came earlier, so its value is already final.
+    Each cell then takes its last copying write; numpy's order of repeated
+    fancy writes is never relied on.
     """
     n = len(dst_idx)
     if n < _MIN_BATCH:
@@ -116,29 +115,20 @@ def _apply_copies(
     # the event is the key's remainder, so a plain sort orders writes by (cell, event)
     key = np.sort(dst_idx * n + events)
     cell, order = _divmod(key, n)
-    w = val[order]  # the value each sorted write carries; 0 means no copy
     if np.shares_memory(dst, src):
         rkey = np.sort(src_idx * n + events)  # the reads, keyed by (cell, event) as the writes are
         rcell, reader = _divmod(rkey, n)
         # the last write to the read's cell by an earlier event, if any
         pos = np.searchsorted(key, rkey) - 1
-        hit = (pos >= 0) & (cell[pos] == rcell)
-        reader, pos, rcell = reader[hit], pos[hit], rcell[hit]
-        if len(reader):
-            before = val[reader]
-            own = np.empty(n, dtype=np.int64)
-            own[order] = events
-            own = own[reader]  # where each hazard's own write sits
-            last = np.where(w != 0.0, events, -1)
-            while True:
-                lc = np.maximum.accumulate(last)[pos]
-                new = np.where((lc >= 0) & (cell[lc] == rcell), w[lc], before)
-                # bitwise, so a NaN value cannot keep the rounds going
-                if np.array_equal(new.view(np.int64), w[own].view(np.int64)):
-                    break
-                w[own] = new
-                last[own] = np.where(new != 0.0, own, -1)
-            val[reader] = new
+        hit = np.flatnonzero((pos >= 0) & (cell[pos] == rcell))
+        hit = hit[np.argsort(reader[hit])]  # the hazards in event order
+        c, o, v = memoryview(cell), memoryview(order), memoryview(val)
+        for r, j, rc in zip(reader[hit].tolist(), pos[hit].tolist(), rcell[hit].tolist()):
+            while j >= 0 and c[j] == rc and v[o[j]] == 0.0:
+                j -= 1  # skip the cell's writes that did not copy
+            if j >= 0 and c[j] == rc:
+                v[r] = v[o[j]]
+    w = val[order]  # the value each sorted write carries; 0 means no copy
     copies = np.flatnonzero(w != 0.0)
     every = len(copies) == n  # w is val reordered, so then every event copied
     if not every:

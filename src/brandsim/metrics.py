@@ -29,12 +29,12 @@ class TimeSeriesRecord:
     def __post_init__(self) -> None:
         # written so that NaN fails every check
         if not self.fluctuation >= 0.0:
-            raise ValueError(f"fluctuation must be non-negative, got {self.fluctuation!r}")
+            raise ConfigurationError(f"fluctuation must be non-negative, got {self.fluctuation!r}")
         total = sum(self.shares)
         if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"shares must sum to 1, got {total!r}")
+            raise ConfigurationError(f"shares must sum to 1, got {total!r}")
         if not all(0.0 <= s <= 1.0 for s in self.shares):
-            raise ValueError("each share must lie in [0, 1]")
+            raise ConfigurationError("each share must lie in [0, 1]")
 
     @property
     def dominant(self) -> int:

@@ -96,9 +96,9 @@ class Population:
 
         S = schema.total_slots
         if wish.ndim != 2 or wish.shape[1] != S:
-            raise ValueError(f"wish matrix must be (K, {S}), got {wish.shape}")
+            raise ConfigurationError(f"wish matrix must be (K, {S}), got {wish.shape}")
         if assort.ndim != 2 or assort.shape[1] != S:
-            raise ValueError(f"assortment matrix must be (N, {S}), got {assort.shape}")
+            raise ConfigurationError(f"assortment matrix must be (N, {S}), got {assort.shape}")
         K = wish.shape[0]
         N = assort.shape[0]
         if K < 2:
@@ -106,15 +106,15 @@ class Population:
         if N < 1:
             raise ConfigurationError("population needs at least one brand")
         if rank_arr.shape != (K,):
-            raise ValueError(f"ranks must be shape ({K},), got {rank_arr.shape}")
+            raise ConfigurationError(f"ranks must be shape ({K},), got {rank_arr.shape}")
         self.shop_counts = check_shop_counts(shop_counts, N)
         # written so that NaN fails every check
         if not ((wish >= 0.0) & (wish <= 1.0)).all():
-            raise ValueError("wish entries must be 0 (unknown) or in (0, 1]")
+            raise ConfigurationError("wish entries must be 0 (unknown) or in (0, 1]")
         if not ((assort > 0.0) & (assort <= 1.0)).all():
-            raise ValueError("assortment entries must all be known, in (0, 1]")
+            raise ConfigurationError("assortment entries must all be known, in (0, 1]")
         if not ((rank_arr >= 0.0) & (rank_arr <= 1.0)).all():
-            raise ValueError("ranks must lie in [0, 1]")
+            raise ConfigurationError("ranks must lie in [0, 1]")
 
         self.schema = schema
         self.t = 0
@@ -162,7 +162,7 @@ def distance(wish, assortment) -> float:
     x = np.asarray(wish, dtype=np.float64)
     y = np.asarray(assortment, dtype=np.float64)
     if x.shape != y.shape:
-        raise ValueError(f"profile shapes differ: {x.shape} vs {y.shape}")
+        raise ConfigurationError(f"profile shapes differ: {x.shape} vs {y.shape}")
     return float(_sq_distances(x.reshape(1, -1), y.reshape(1, -1))[0, 0]) / x.size
 
 

@@ -652,16 +652,17 @@ class TestBatchedApplier:
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.one_of(st.integers(1, _MIN_BATCH - 1), st.integers(_MIN_BATCH, 4 * _MIN_BATCH)),
-        cells_per_event=st.floats(1.0, 3.0),
+        cells_per_event=st.floats(0.05, 3.0),
         p_zero=st.sampled_from([0.0, 0.3, 0.9]),
         specials=st.booleans(),
         shared=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_sequential_loop(self, n, cells_per_event, p_zero, specials, shared, seed):
-        # n to 3n cells, so many reads hit a cell an earlier event wrote
+        # n/20 to 3n cells, so many reads hit a cell an earlier event wrote, and
+        # a cell can take long runs of writes
         rng = np.random.default_rng(seed)
-        cells = int(n * cells_per_event)
+        cells = max(1, int(n * cells_per_event))
         values = 1.0 - rng.random((2, cells))
         values[rng.random((2, cells)) < p_zero] = 0.0
         if specials:

@@ -12,6 +12,7 @@ from brandsim import (
     Population,
     SimConfig,
     Mode,
+    TimeSeriesRecord,
     distance,
     index_from_uniform,
     init_population,
@@ -426,6 +427,30 @@ class TestPopulation:
         assort = np.array([[0.5, 0.0]])
         with pytest.raises(ValueError):
             Population(schema, wish, np.array([0.1, 0.2]), assort, (1,))
+
+    @staticmethod
+    def tiny(wish=((0.5,), (0.6,)), ranks=(0.1, 0.2), assort=((0.5,),)):
+        return Population(NeedSchema((1,)), wish, ranks, assort, (1,))
+
+    @pytest.mark.parametrize("make", [
+        lambda tiny: tiny(wish=((0.5, 0.5), (0.6, 0.6))),
+        lambda tiny: tiny(assort=((0.5, 0.5),)),
+        lambda tiny: tiny(ranks=(0.1,)),
+        lambda tiny: tiny(wish=((0.5,), (1.5,))),
+        lambda tiny: tiny(wish=((0.5,), (np.nan,))),
+        lambda tiny: tiny(assort=((0.0,),)),
+        lambda tiny: tiny(ranks=(0.1, np.nan)),
+        lambda tiny: distance([0.5, 0.5], [0.5]),
+        lambda tiny: TimeSeriesRecord(t=0, fluctuation=np.nan, shares=(1.0,)),
+        lambda tiny: TimeSeriesRecord(t=0, fluctuation=0.1, shares=(0.5, 0.4)),
+        lambda tiny: TimeSeriesRecord(t=0, fluctuation=0.1, shares=(1.5, -0.5)),
+    ], ids=["wish_shape", "assortment_shape", "ranks_shape", "wish_above_one", "wish_nan",
+            "assortment_unknown", "rank_nan", "distance_shapes", "fluctuation_nan",
+            "shares_sum", "share_range"])
+    def test_every_input_check_raises_configuration_error(self, make):
+        self.tiny()  # the defaults are valid
+        with pytest.raises(ConfigurationError):
+            make(self.tiny)
 
     def test_brand_record_is_live_view(self):
         rng = np.random.default_rng(9)
