@@ -2,11 +2,11 @@
 # Smoke test of the installed `brandsim` entry point: run, ensemble and sweep
 # on a tiny config, run and ensemble on tiny hierarchy configs with leaders and
 # shops and with leaders teaching every non-leader, serial and parallel outputs
-# byte-equal (an ensemble of more runs than the pool keeps in flight too), --seed
-# equal to the seed in the file, a sweep with no values creates its output
-# directory, bad input (arrays too large for numpy and a malformed list too)
-# exits 2, a missing config exits 3, and every subcommand and the module entry
-# point answer --help.
+# byte-equal (an ensemble of more runs than the pool keeps in flight, and one
+# in which no run converges, too), --seed equal to the seed in the file, a
+# sweep with no values creates its output directory, bad input (arrays too
+# large for numpy and a malformed list too) exits 2, a missing config exits 3,
+# and every subcommand and the module entry point answer --help.
 # Usage: smoke.sh DIR, where DIR is an empty scratch directory.
 set -eu
 dir="$1"
@@ -22,6 +22,12 @@ cmp "$dir/ens/summary.txt" "$dir/ens2/summary.txt"
 brandsim ensemble --config "$cfg" --runs 20 --parallel 1 --out "$dir/ens20"
 brandsim ensemble --config "$cfg" --runs 20 --parallel 2 --out "$dir/ens20p"
 cmp "$dir/ens20/summary.txt" "$dir/ens20p/summary.txt"
+# one sweep is too few for any run to converge: every worker returns no record
+sed 's/^max_sweeps = .*/max_sweeps = 1/' "$cfg" > "$dir/short.cfg"
+brandsim ensemble --config "$dir/short.cfg" --runs 4 --out "$dir/short"
+brandsim ensemble --config "$dir/short.cfg" --runs 4 --parallel 2 --out "$dir/short2"
+cmp "$dir/short/summary.txt" "$dir/short2/summary.txt"
+grep -qx 'consensus_fraction=0' "$dir/short/summary.txt"
 brandsim sweep --config "$cfg" --param p_copy --values 0.5,1 --runs 2 --out "$dir/sweep"
 test -s "$dir/sweep/sweep_p_copy_0.txt"
 test -s "$dir/sweep/sweep_p_copy_1.txt"

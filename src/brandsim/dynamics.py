@@ -82,22 +82,23 @@ def _apply_copies(
 
     Batches of fewer than ``_MIN_BATCH`` events run that sequential loop.
     Larger ones take a numpy path with the same result bit for bit, whose
-    temporaries all have one entry per event.  On batches with a shared
-    source into 6·10⁴ cells (2-vCPU Xeon, medians of 7 x 200 batches, five
-    runs) the loop took 13-21 µs at 64 events against 28-48 µs, 49-76 µs at
-    256 against 48-62 µs, 93-120 µs at 384 against 47-76 µs, and 99-156 µs
-    at 512 against 66-88 µs.  256 is kept: it keeps the 50-event pair
-    batches of K=50 runs on the loop, no benchmark workload sends a batch
-    of 256 to 384 events, and the golden runs pin numpy-path leader and
-    shop batches of 320 and 360 events.
+    temporaries have one entry per event, bar a one-byte mark per cell of a
+    shared source.  On batches with a shared source into 6·10⁴ cells (2-vCPU
+    Xeon, medians of 7 x 200 batches, five runs) the loop took 13-21 µs at
+    64 events against 28-48 µs, 49-76 µs at 256 against 48-62 µs, 93-120 µs
+    at 384 against 47-76 µs, and 99-156 µs at 512 against 66-88 µs.  256 is
+    kept: it keeps the 50-event pair batches of K=50 runs on the loop, no
+    benchmark workload sends a batch of 256 to 384 events, and the golden
+    runs pin numpy-path leader and shop batches of 320 and 360 events.
 
     The numpy path reads every source before the batch, then replays, in
     event order, each read of a cell that an earlier event of the batch wrote
-    (a hazard, possible only when ``src`` is ``dst``): it takes the value of
-    the last copying write to its cell before it, else the value before the
-    batch.  That write's event came earlier, so its value is already final.
-    Each cell then takes its last copying write; numpy's order of repeated
-    fancy writes is never relied on.
+    (a hazard, possible only when ``src`` is ``dst``, and only for a read of a
+    cell marked written, so no other read is sorted or searched): it takes the
+    value of the last copying write to its cell before it, else the value
+    before the batch.  That write's event came earlier, so its value is
+    already final.  Each cell then takes its last copying write; numpy's
+    order of repeated fancy writes is never relied on.
     """
     n = len(dst_idx)
     if n < _MIN_BATCH:
@@ -116,7 +117,10 @@ def _apply_copies(
     key = np.sort(dst_idx * n + events)
     cell, order = _divmod(key, n)
     if np.shares_memory(dst, src):
-        rkey = np.sort(src_idx * n + events)  # the reads, keyed by (cell, event) as the writes are
+        written = np.zeros(len(dst), dtype=bool)
+        written[dst_idx] = True
+        maybe = np.flatnonzero(written[src_idx])
+        rkey = np.sort(src_idx[maybe] * n + maybe)  # keyed by (cell, event) as the writes are
         rcell, reader = _divmod(rkey, n)
         # the last write to the read's cell by an earlier event, if any
         pos = np.searchsorted(key, rkey) - 1

@@ -56,25 +56,17 @@ class RunResult(NamedTuple):
     converged_at: int | None
 
 
-def run(cfg: SimConfig) -> RunResult:
-    """Execute one simulation to consensus or ``max_sweeps``.
+def _evolve(cfg: SimConfig, keep: bool) -> RunResult:
+    """:func:`run` when ``keep``, else a run that records only the sweep it converged at.
 
-    Records observables at t=0, every ``record_every`` sweeps, and at the
-    final sweep (without duplicating a record that falls on both).
-    ``converged_at`` is the first sweep whose dispersion dropped below
-    ``epsilon``, or None when the run never converged.
-
-    The full dispersion (:func:`fluctuation`) is computed at t=0, on every
-    record sweep, and on any other sweep that :func:`_surely_dispersed`
-    cannot certify.  A certified sweep has a dispersion of at least
-    ``epsilon``, so it neither records nor converges: skipping the full pass
-    there leaves every record and ``converged_at`` exactly as they were.
+    A sweep that :func:`_surely_dispersed` certifies neither records nor
+    converges, so it skips the full :func:`fluctuation` and changes no output.
     """
     rng = np.random.default_rng(cfg.seed)
     pop = init_population(cfg, rng)
     records = []
     while True:
-        record = pop.t == cfg.max_sweeps or pop.t % cfg.record_every == 0
+        record = keep and (pop.t == cfg.max_sweeps or pop.t % cfg.record_every == 0)
         if record or not _surely_dispersed(pop, cfg.epsilon):
             f = fluctuation(pop)
             converged = f < cfg.epsilon
@@ -87,6 +79,17 @@ def run(cfg: SimConfig) -> RunResult:
         sweep(pop, cfg.mode, cfg, rng)
 
 
+def run(cfg: SimConfig) -> RunResult:
+    """Execute one simulation to consensus or ``max_sweeps``.
+
+    Records observables at t=0, every ``record_every`` sweeps, and at the
+    final sweep (without duplicating a record that falls on both).
+    ``converged_at`` is the first sweep whose dispersion dropped below
+    ``epsilon``, or None when the run never converged.
+    """
+    return _evolve(cfg, keep=True)
+
+
 @dataclass(frozen=True)
 class EnsembleSummary:
     """Aggregate of independent runs of one configuration."""
@@ -97,10 +100,10 @@ class EnsembleSummary:
     dominant_brand_histogram: tuple[float, ...]
 
 
-def _run_stats(cfg: SimConfig) -> tuple[int | None, int]:
-    """Worker: converged_at and the final dominant brand of one run."""
-    result = run(cfg)
-    return result.converged_at, result.records[-1].dominant
+def _run_stats(cfg: SimConfig) -> tuple[int | None, int | None]:
+    """Worker: converged_at and the dominant brand then, or (None, None) if never."""
+    records, _, at = _evolve(cfg, keep=False)
+    return (at, records[0].dominant) if records else (None, None)
 
 
 def _windowed(pool: Executor, children: Iterator[SimConfig], window: int) -> Iterator:
@@ -122,16 +125,14 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     Run ``i`` uses seed ``derive_child_seed(cfg.seed, i)``.  Results are
     folded in run order regardless of how many workers executed them, so the
     summary is identical for any ``parallel`` setting.  The dominant-brand
-    histogram counts converged runs only and sums to 1 when any converged.
+    histogram counts converged runs only, at the sweep they converged at, and
+    sums to 1 when any converged; a worker records nothing else.
     """
     runs = _coerce_int("runs", runs)
     parallel = _coerce_int("parallel", parallel)
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    # records draw nothing, so keeping only the first and last leaves each
-    # run's converged_at and final dominant brand unchanged
-    children = (dataclasses.replace(cfg, seed=derive_child_seed(cfg.seed, i),
-                                    record_every=cfg.max_sweeps) for i in range(runs))
+    children = (dataclasses.replace(cfg, seed=derive_child_seed(cfg.seed, i)) for i in range(runs))
     # a pool may start all its workers at once, so ask for no more than can be busy
     workers = min(parallel, runs, os.cpu_count() or 1)
     converged = sweeps = 0

@@ -1,11 +1,5 @@
-"""Observables: wish dispersion, brand shares, dominance.
-
-The wish dispersion (:func:`fluctuation`) costs a full pass over the K x S
-wish matrix.  :func:`brandsim.harness.run` pays it at t=0, on every record
-sweep, and on any other sweep where :func:`_surely_dispersed` cannot prove
-from a few row pairs that the dispersion is still at least ``epsilon``.  A
-sweep so proven is neither recorded nor converged, so skipping the full
-pass there changes no output.
+"""Observables: wish dispersion, brand shares, dominance, and a lower bound on the
+dispersion from a few row pairs, which lets a run skip the full pass on most sweeps.
 """
 
 from __future__ import annotations

@@ -652,15 +652,17 @@ class TestBatchedApplier:
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.one_of(st.integers(1, _MIN_BATCH - 1), st.integers(_MIN_BATCH, 4 * _MIN_BATCH)),
-        cells_per_event=st.floats(0.05, 3.0),
+        cells_per_event=st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 30.0)),
         p_zero=st.sampled_from([0.0, 0.3, 0.9]),
         specials=st.booleans(),
         shared=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_sequential_loop(self, n, cells_per_event, p_zero, specials, shared, seed):
-        # n/20 to 3n cells, so many reads hit a cell an earlier event wrote, and
-        # a cell can take long runs of writes
+        # n/20 to 30n cells, drawn as often below 3n as above it: at the low end many
+        # reads hit a cell an earlier event wrote and a cell can take long runs of
+        # writes; at the high end, as in a K=2·10⁴ pair batch, few cells are written
+        # and a hazard is rare
         rng = np.random.default_rng(seed)
         cells = max(1, int(n * cells_per_event))
         values = 1.0 - rng.random((2, cells))
@@ -676,6 +678,20 @@ class TestBatchedApplier:
         ref_copied = ref_apply_copies(ref, ref_src, dst_idx, src_idx)
         assert dst.tobytes() == ref.tobytes()
         assert np.array_equal(copied, ref_copied)
+
+    def test_lone_hazard_reads_event_zeros_write(self):
+        # every other read is of a cell no event writes; the last event reads the
+        # cell event 0 wrote, so it must copy the value event 0 carried there
+        n = _MIN_BATCH
+        values = np.arange(1.0, 30 * n + 1.0)
+        dst_idx = np.arange(n) * 30
+        src_idx = dst_idx + 1
+        src_idx[-1] = dst_idx[0]
+        dst, ref = values.copy(), values.copy()
+        assert np.array_equal(_apply_copies(dst, dst, dst_idx, src_idx), np.arange(n))
+        ref_apply_copies(ref, ref, dst_idx, src_idx)
+        assert dst[dst_idx[-1]] == values[src_idx[0]]
+        assert dst.tobytes() == ref.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(batch_cases())

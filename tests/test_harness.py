@@ -234,8 +234,7 @@ class TestEnsemble:
         with pytest.raises(RuntimeError, match="fourth run"):
             ensemble(c, 10**4)
         assert built == [0, 1, 2, 3]
-        assert ran == [dataclasses.replace(c, seed=derive_child_seed(c.seed, i),
-                                           record_every=c.max_sweeps) for i in range(4)]
+        assert ran == [dataclasses.replace(c, seed=derive_child_seed(c.seed, i)) for i in range(4)]
 
     def test_pool_keeps_at_most_four_runs_per_worker_in_flight(self, monkeypatch):
         submitted, taken, in_flight = [], [], []
@@ -289,9 +288,34 @@ class TestRunStats:
         c = cfg(record_every=record_every, **changes)
         r = run(c)
         assert r.converged_at == converged_at
-        # as ensemble builds its children: only the first and last records kept
-        sparse = dataclasses.replace(c, record_every=c.max_sweeps)
-        assert harness._run_stats(sparse) == (r.converged_at, r.records[-1].dominant)
+        # the dominant brand at convergence, the last record of a converged run
+        expected = (None, None) if converged_at is None else (converged_at, r.records[-1].dominant)
+        assert harness._run_stats(c) == expected
+
+    @pytest.mark.parametrize("changes, converged_at", [
+        (dict(N=3, K=50, M=5, seed=11, max_sweeps=80), None),
+        (dict(N=3, K=8, M=2, seed=3, max_sweeps=500), 32),
+    ], ids=["hits_max_sweeps", "converges"])
+    def test_records_only_the_converged_sweep(self, changes, converged_at, monkeypatch):
+        certify, snapshot = harness._surely_dispersed, harness.snapshot
+        certified, measured, snapped = set(), [], []
+
+        def counted_certify(pop, epsilon):
+            sure = certify(pop, epsilon)
+            if sure:
+                certified.add(pop.t)
+            return sure
+
+        monkeypatch.setattr(harness, "_surely_dispersed", counted_certify)
+        monkeypatch.setattr(harness, "snapshot",
+                            lambda pop, f: snapped.append(pop.t) or snapshot(pop, f))
+        monkeypatch.setattr(harness, "fluctuation",
+                            lambda pop: measured.append(pop.t) or fluctuation(pop))
+        at, _ = harness._run_stats(cfg(**changes))
+        assert at == converged_at
+        # no throwaway t=0 or final record, and no full pass on a certified sweep
+        assert snapped == ([] if at is None else [at])
+        assert certified and certified.isdisjoint(measured)
 
 
 class TestDispersionSkip:
