@@ -168,20 +168,20 @@ def sweep_param(
     Sweeping ``N`` resets ``shop_counts`` to its default, all ones of the
     new length, since the configured vector cannot carry over.  A string is
     parsed as a config-file value; any other value goes to :class:`SimConfig`
-    as given, so ``3.7`` for ``K`` is an error, not 3.
+    as given, so ``3.7`` for ``K`` is an error, not 3.  Every value's config is
+    built, and so checked, before the first ensemble runs.
     """
     if param_name not in _SWEEPABLE:
         raise ConfigurationError(f"unknown sweep parameter {param_name!r}")
-    out = []
+    swept = []
     for value in values:
         if isinstance(value, str):
             value = parse_value(param_name, value)
         changes: dict = {param_name: value}
         if param_name == "N":
             changes["shop_counts"] = None
-        swept = dataclasses.replace(cfg, **changes)
-        out.append((getattr(swept, param_name), ensemble(swept, runs, parallel)))
-    return out
+        swept.append(dataclasses.replace(cfg, **changes))
+    return [(getattr(c, param_name), ensemble(c, runs, parallel)) for c in swept]
 
 
 def _fmt(x: float) -> str:

@@ -86,7 +86,8 @@ def test_subcommand_options():
      "wrote 2 summaries to {out}\n", ["sweep_p_copy_0.txt", "sweep_p_copy_1.txt"]),
     # no value at all still creates --out
     (["sweep", "--param", "p_copy", "--values", " "], "wrote 0 summaries to {out}\n", []),
-], ids=["run", "ensemble", "sweep", "sweep_no_values"])
+    (["sweep", "--param", "p_copy", "--values", ","], "wrote 0 summaries to {out}\n", []),
+], ids=["run", "ensemble", "sweep", "sweep_no_values", "sweep_empty_entries"])
 def test_stdout_and_files(tmp_path, capsys, argv, stdout, files):
     out = tmp_path / "out"
     code = cli.main(argv + ["--config", write_config(tmp_path, TINY), "--out", str(out)])

@@ -1,5 +1,4 @@
 import copy
-import itertools
 
 import numpy as np
 import pytest
@@ -14,25 +13,13 @@ from brandsim import (
     NeedSchema,
     Population,
     distance,
-    index_from_uniform,
     leader_step,
     shop_event_count,
     shop_step,
     sweep,
 )
 from brandsim.dynamics import _MIN_BATCH, _apply_copies, _draw_pupils
-
-
-def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None, shop_counts=None):
-    schema = NeedSchema(jmax)
-    S = schema.total_slots
-    wish = 1.0 - rng.random((K, S))
-    wish[rng.random((K, S)) < p_unknown] = 0.0
-    if ranks is None:
-        ranks = rng.random(K)
-    assort = 1.0 - rng.random((N, S))
-    return Population(schema, wish, np.asarray(ranks, dtype=float), assort,
-                      shop_counts or (1,) * N)
+from populations import make_population
 
 
 def pair_events(pop, mode, params, rng):
@@ -274,19 +261,6 @@ class TestLeaderStep:
         assert len(touched) == 2
 
 
-def ref_draw_pupils(leaders, K, u):
-    """Each leader's partial Fisher-Yates shuffle on its own copy of the pool."""
-    non_leaders = [k for k in range(K) if k not in leaders]
-    chosen = []
-    for row in u.tolist():
-        pool = list(non_leaders)
-        for step, x in enumerate(row):
-            pick = step + index_from_uniform(x, len(pool) - step)
-            pool[step], pool[pick] = pool[pick], pool[step]
-        chosen.extend(pool[: len(row)])
-    return chosen
-
-
 class TestDrawPupils:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), L=st.integers(1, 6), n=st.integers(1, 60))
@@ -299,7 +273,8 @@ class TestDrawPupils:
         u = np.array(data.draw(st.lists(uniform, min_size=L * pupils,
                                         max_size=L * pupils))).reshape(L, pupils)
         got = _draw_pupils(leaders, n + L, u)
-        assert got.tolist() == ref_draw_pupils(leaders, n + L, u)
+        pool = [k for k in range(n + L) if k not in leaders]
+        assert got.tolist() == [k for row in u.tolist() for k in ref_draw_pupils(pool, row)]
 
 
 class TestShopStep:
@@ -429,18 +404,34 @@ class TestSweep:
 
 
 # --- scalar reference: one event at a time, in stream order -----------------
+# It states every rule of the documented stream itself, so it shares no code with
+# the kernels it checks.
 
 
-def ref_copy_slot(learner_values, source_values, schema, u_need, u_slot, u_coin, p):
-    need = index_from_uniform(u_need, schema.num_needs)
-    jm = schema.jmax[need]
-    slot = index_from_uniform(u_slot, jm)
-    flat = [0, *itertools.accumulate(schema.jmax)][need] + slot
-    v = source_values[flat]
+def ref_index(u, n):
+    """The bounded index in [0, n) that the uniform ``u`` picks."""
+    return min(int(u * n), n - 1)
+
+
+def ref_copy_slot(learner_row, source_row, jmax, u_need, u_slot, u_coin, p):
+    """One copy triple: a need, then a slot of that need, then the coin.  An
+    unknown (0) source value never transmits.  Returns whether it copied."""
+    need = ref_index(u_need, len(jmax))
+    flat = sum(jmax[:need]) + ref_index(u_slot, jmax[need])
+    v = source_row[flat]
     if v != 0.0 and u_coin < p:
-        learner_values[flat] = v
+        learner_row[flat] = v
         return True
     return False
+
+
+def ref_draw_pupils(pool, u):
+    """The first ``len(u)`` ids of a partial Fisher-Yates shuffle of ``pool``."""
+    pool = list(pool)
+    for step, x in enumerate(u):
+        pick = step + ref_index(x, len(pool) - step)
+        pool[step], pool[pick] = pool[pick], pool[step]
+    return pool[: len(u)]
 
 
 def ref_apply_copies(dst, src, dst_idx, src_idx):
@@ -455,107 +446,76 @@ def ref_apply_copies(dst, src, dst_idx, src_idx):
 
 
 def ref_pair_events(pop, mode, params, u):
-    schema = pop.schema
-    wish_flat = pop.wish_matrix.reshape(-1)
-    ranks = pop.ranks.tolist()
+    """The pair events of the rows of ``u``, five uniforms each; returns the copies."""
     K = pop.num_customers
-    M = schema.num_needs
-    S = schema.total_slots
-    uu = u.tolist()
-    K1 = K - 1
-    offsets = [0, *itertools.accumulate(schema.jmax)]
+    ranks = pop.ranks.tolist()
+    wish = pop.wish_matrix
     copies = 0
-    for i in range(0, len(uu) // 5 * 5, 5):
-        ua, ub, un, us, uc = uu[i : i + 5]
-        a = int(ua * K)
-        if a > K1:
-            a = K1
-        b = int(ub * K1)
-        if b >= K1:
-            b = K1 - 1
-        if b >= a:
-            b += 1
+    for ua, ub, un, us, uc in u.tolist():
+        a = ref_index(ua, K)
+        b = ref_index(ub, K - 1)
+        b += b >= a  # the partner is one of the K-1 others
+        learner, source, p = a, b, params.p_copy  # equality: the first drawn learns
         if mode is Mode.HIERARCHY:
-            ra = ranks[a]
-            rb = ranks[b]
-            if ra < rb:
-                learner, source, p = a, b, params.p_copy * (rb - ra)
-            else:
-                learner, source, p = b, a, params.p_copy * (ra - rb)
-        else:
-            learner, source, p = a, b, params.p_copy
-        need = int(un * M)
-        if need >= M:
-            need = M - 1
-        jm = schema.jmax[need]
-        slot = int(us * jm)
-        if slot >= jm:
-            slot = jm - 1
-        flat = offsets[need] + slot
-        v = wish_flat[source * S + flat]
-        if v != 0.0 and uc < p:
-            wish_flat[learner * S + flat] = v
-            copies += 1
+            # the lower ranked learns, with the rank gap scaling p_copy
+            if ranks[a] >= ranks[b]:
+                learner, source = b, a
+            p *= ranks[source] - ranks[learner]
+        copies += ref_copy_slot(wish[learner], wish[source], pop.schema.jmax, un, us, uc, p)
     return copies
 
 
 def ref_leader_step(pop, params, rng):
+    """Per leader in id order: its pupil draws, then one copy triple per pupil."""
     pupils = params.leader_pupils
-    K = pop.num_customers
-    leaders = [k for k in range(K) if pop.ranks[k] == 1.0]
-    if not leaders or pupils == 0:
-        return 0
-    non_leaders = [k for k in range(K) if k not in leaders]
+    ranks = pop.ranks.tolist()
+    leaders = [k for k, r in enumerate(ranks) if r == 1.0]
+    pool = [k for k, r in enumerate(ranks) if r != 1.0]
     wish = pop.wish_matrix
-    copies = 0
     for leader in leaders:
-        select_u = rng.random(pupils).tolist()
-        pool = list(non_leaders)
-        chosen = []
-        n_pool = len(pool)
-        for step, u in enumerate(select_u):
-            pick = step + index_from_uniform(u, n_pool - step)
-            pool[step], pool[pick] = pool[pick], pool[step]
-            chosen.append(pool[step])
-        teach_u = rng.random(3 * len(chosen))
-        for idx, pupil in enumerate(chosen):
-            o = 3 * idx
-            copies += ref_copy_slot(
-                wish[pupil], wish[leader], pop.schema,
-                teach_u[o], teach_u[o + 1], teach_u[o + 2], params.p_copy,
-            )
-    return copies
+        u = rng.random(4 * pupils).tolist()
+        for i, pupil in enumerate(ref_draw_pupils(pool, u[:pupils])):
+            o = pupils + 3 * i
+            ref_copy_slot(wish[pupil], wish[leader], pop.schema.jmax, *u[o : o + 3],
+                          params.p_copy)
 
 
 def ref_shop_step(pop, params, rng):
-    rate = params.shop_teach_rate
-    if rate == 0.0:
-        return 0
+    """Per brand in id order, ``round(rate * shop count)`` events (banker's rounding):
+    a customer pick, then a copy triple from the brand's assortment."""
     wish = pop.wish_matrix
-    K = pop.num_customers
-    copies = 0
-    for b, count in enumerate(pop.shop_counts):
-        n_events = shop_event_count(rate, count)
-        if n_events <= 0:
-            continue
-        u = rng.random(4 * n_events)
-        src = pop.assortment_matrix[b]
-        for o in range(0, 4 * n_events, 4):
-            customer = index_from_uniform(u[o], K)
-            copies += ref_copy_slot(
-                wish[customer], src, pop.schema, u[o + 1], u[o + 2], u[o + 3], params.p_copy
-            )
-    return copies
+    for brand, count in enumerate(pop.shop_counts):
+        for _ in range(round(params.shop_teach_rate * count)):
+            uk, un, us, uc = rng.random(4).tolist()
+            ref_copy_slot(wish[ref_index(uk, pop.num_customers)], pop.assortment_matrix[brand],
+                          pop.schema.jmax, un, us, uc, params.p_copy)
 
 
 def ref_sweep(pop, mode, params, rng):
     """One reference sweep; returns the number of pair copies."""
-    pair_copies = ref_pair_events(pop, mode, params, rng.random(5 * pop.num_customers))
+    pair_copies = ref_pair_events(pop, mode, params, rng.random((pop.num_customers, 5)))
     ref_leader_step(pop, params, rng)
     ref_shop_step(pop, params, rng)
     pop.affiliations[:] = cdist(pop.wish_matrix, pop.assortment_matrix, "sqeuclidean").argmin(1)
     pop.t += 1
     return pair_copies
+
+
+def assert_sweeps_match_reference(case):
+    """The kernels and the reference, from one population and seed, make the same
+    pair copies in every sweep and end in the same bytes, affiliations and stream."""
+    pop = case_population(case)
+    ref = copy.deepcopy(pop)
+    rng = np.random.default_rng(case["seed"] + 1)
+    ref_rng = np.random.default_rng(case["seed"] + 1)
+    for _ in range(case["sweeps"]):
+        log = []
+        sweep(pop, case["mode"], case["params"], rng, event_log=log)
+        assert sum(e.copied for e in log) == ref_sweep(ref, case["mode"], case["params"], ref_rng)
+    assert pop.wish_matrix.tobytes() == ref.wish_matrix.tobytes()
+    assert np.array_equal(pop.affiliations, ref.affiliations)
+    assert pop.t == ref.t
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @st.composite
@@ -585,35 +545,20 @@ def kernel_cases(draw):
 
 def case_population(case):
     rng = np.random.default_rng(case["seed"])
-    schema = NeedSchema(case["jmax"])
-    K, S = case["K"], schema.total_slots
-    wish = 1.0 - rng.random((K, S))
-    wish[rng.random((K, S)) < case["p_unknown"]] = 0.0
-    ranks = rng.random(K)
+    ranks = rng.random(case["K"])
     if case["coarse_ranks"]:
         ranks = np.floor(ranks * 3) / 3  # many equal ranks, so zero rank gaps
     ranks[: case["n_leaders"]] = 1.0
-    assort = 1.0 - rng.random((len(case["shop_counts"]), S))
-    return Population(schema, wish, ranks, assort, case["shop_counts"])
+    return make_population(rng, K=case["K"], N=len(case["shop_counts"]), jmax=case["jmax"],
+                           p_unknown=case["p_unknown"], ranks=ranks,
+                           shop_counts=case["shop_counts"])
 
 
 class TestSweepMatchesScalarReference:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_bitwise_equal_to_reference(self, case):
-        pop = case_population(case)
-        ref = copy.deepcopy(pop)
-        rng = np.random.default_rng(case["seed"] + 1)
-        ref_rng = np.random.default_rng(case["seed"] + 1)
-        for _ in range(case["sweeps"]):
-            log = []
-            sweep(pop, case["mode"], case["params"], rng, event_log=log)
-            pair_copies = ref_sweep(ref, case["mode"], case["params"], ref_rng)
-            assert sum(e.copied for e in log) == pair_copies
-        assert pop.wish_matrix.tobytes() == ref.wish_matrix.tobytes()
-        assert np.array_equal(pop.affiliations, ref.affiliations)
-        assert pop.t == ref.t
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_sweeps_match_reference(case)
 
 
 @st.composite
@@ -701,15 +646,4 @@ class TestBatchedApplier:
         assert sum(
             shop_event_count(params.shop_teach_rate, c) for c in case["shop_counts"]
         ) >= _MIN_BATCH
-        pop = case_population(case)
-        ref = copy.deepcopy(pop)
-        rng = np.random.default_rng(case["seed"] + 1)
-        ref_rng = np.random.default_rng(case["seed"] + 1)
-        for _ in range(case["sweeps"]):
-            log = []
-            sweep(pop, case["mode"], params, rng, event_log=log)
-            pair_copies = ref_sweep(ref, case["mode"], params, ref_rng)
-            assert sum(e.copied for e in log) == pair_copies
-        assert pop.wish_matrix.tobytes() == ref.wish_matrix.tobytes()
-        assert np.array_equal(pop.affiliations, ref.affiliations)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_sweeps_match_reference(case)

@@ -375,6 +375,14 @@ class TestSweepParam:
         with pytest.raises(ConfigurationError):
             sweep_param(cfg(), "p_copy", [1.5], runs=1)
 
+    def test_every_value_is_checked_before_any_run(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(harness, "_run_stats",
+                            lambda child: started.append(child) or (None, None))
+        with pytest.raises(ConfigurationError, match="p_copy"):
+            sweep_param(cfg(), "p_copy", [0.5, 1.5], runs=2)
+        assert started == []
+
     def test_n_beyond_index_range_is_config_error(self):
         with pytest.raises(ConfigurationError):
             sweep_param(cfg(), "N", [10**30])

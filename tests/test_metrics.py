@@ -23,15 +23,7 @@ from brandsim import (
     sweep,
 )
 from brandsim.metrics import _surely_dispersed
-
-
-def make_population(rng, K=5, N=2, jmax=(2, 3), p_unknown=0.2):
-    schema = NeedSchema(jmax)
-    S = schema.total_slots
-    wish = 1.0 - rng.random((K, S))
-    wish[rng.random((K, S)) < p_unknown] = 0.0
-    assort = 1.0 - rng.random((N, S))
-    return Population(schema, wish, rng.random(K), assort, (1,) * N)
+from populations import make_population
 
 
 def naive_fluctuation(pop):
@@ -102,7 +94,7 @@ class TestFluctuation:
 class TestBrandShares:
     def test_single_brand(self):
         rng = np.random.default_rng(6)
-        pop = make_population(rng, N=1)
+        pop = make_population(rng, K=5, N=1)
         assert list(brand_shares(pop)) == [1.0]
 
     def test_counting(self):

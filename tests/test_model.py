@@ -22,17 +22,7 @@ from brandsim import (
 )
 from brandsim.dynamics import _draw_pupils
 from brandsim.model import _nearest_brand
-
-
-def make_population(rng, K=4, N=2, jmax=(2, 3), p_unknown=0.25, shop_counts=None):
-    """Random valid population for tests."""
-    schema = NeedSchema(jmax)
-    S = schema.total_slots
-    wish = 1.0 - rng.random((K, S))
-    wish[rng.random((K, S)) < p_unknown] = 0.0
-    ranks = rng.random(K)
-    assort = 1.0 - rng.random((N, S))
-    return Population(schema, wish, ranks, assort, shop_counts or (1,) * N)
+from populations import make_population
 
 
 def nearest_by_scan(pop):
@@ -190,7 +180,7 @@ def nearest_cases(draw):
 class TestNearestBrand:
     def test_single_brand(self):
         rng = np.random.default_rng(2)
-        pop = make_population(rng, K=3, N=1)
+        pop = make_population(rng, K=3, N=1, p_unknown=0.25)
         assert list(pop.affiliations) == [0, 0, 0] == nearest_by_scan(pop)
 
     def test_tie_breaks_to_smaller_index(self):
@@ -210,7 +200,7 @@ class TestNearestBrand:
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            pop = make_population(rng, K=4, N=5, jmax=(1, 3, 2))
+            pop = make_population(rng, K=4, N=5, jmax=(1, 3, 2), p_unknown=0.25)
             assert list(pop.affiliations) == nearest_by_scan(pop)
 
     @settings(max_examples=400, deadline=None)
@@ -242,7 +232,7 @@ class TestNearestBrand:
 
     def test_affiliation_minimises_distance_after_refresh(self):
         rng = np.random.default_rng(5)
-        pop = make_population(rng, K=6, N=4, jmax=(2, 2))
+        pop = make_population(rng, K=6, N=4, jmax=(2, 2), p_unknown=0.25)
         refresh_affiliations(pop)
         for wish, aff in zip(pop.wish_matrix, pop.affiliations):
             own = distance(wish, pop.assortment_matrix[aff])
@@ -454,7 +444,7 @@ class TestPopulation:
 
     def test_brand_record_is_live_view(self):
         rng = np.random.default_rng(9)
-        pop = make_population(rng, N=3, shop_counts=(2, 5, 1))
+        pop = make_population(rng, K=4, N=3, p_unknown=0.25, shop_counts=(2, 5, 1))
         pop.brands[1].assortment[0] = 0.123
         assert pop.assortment_matrix[1, 0] == 0.123
         pop.assortment_matrix[2, 1] = 0.456

@@ -11,8 +11,9 @@ side runs first alternates from one seed to the next.  The output records both
 refs, with git's tree ids of those of ``src``, ``perfbench`` and ``tools`` that
 each side has (the working tree's taken with untracked files, and checked
 unchanged after the last run), every run's result and machine record, and per end-to-end metric
-the raw samples of each side in seed order, their medians and the number of
-seeds on which the change did better.
+the raw samples of each side in seed order, their medians and quartiles, the number of
+seeds on which the change did better, and whether the medians differ by more than
+the base side's interquartile range.
 """
 
 from __future__ import annotations
@@ -92,12 +93,24 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "record": {k: record[k] for k in RECORD_KEYS if k in record}}
 
 
+def quartiles(samples: list[float]) -> tuple[float | None, float | None]:
+    """The first and third quartiles by the inclusive method, numpy's default.
+    A lone sample is both; no sample gives None for both."""
+    if len(samples) < 2:
+        return (samples[0], samples[0]) if samples else (None, None)
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q1, q3
+
+
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload and end-to-end metric: each side's samples in seed order, medians, wins.
+    """Per workload and end-to-end metric: each side's samples in seed order, medians,
+    quartiles and wins.
 
     A run without a result gives no sample, and a seed wins only when both
     sides have a sample for it and the change's is better in the metric's
-    direction.  ``all_correct`` is False if any run failed or missed a gate.
+    direction.  ``beyond_base_iqr`` says whether the medians differ by more
+    than the base side's q3 - q1, and is None while a side has no sample.
+    ``all_correct`` is False if any run failed or missed a gate.
     """
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -115,8 +128,13 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
                        and by_side["change"][s] != by_side["base"][s] for s in both)
             entry = {"pairs": len(both), "change_wins": wins}
             for side, samples in by_side.items():
-                entry[side] = list(samples.values())
-                entry[side + "_median"] = statistics.median(samples.values()) if samples else None
+                values = list(samples.values())
+                entry[side] = values
+                entry[side + "_median"] = statistics.median(values) if values else None
+                entry[side + "_q1"], entry[side + "_q3"] = quartiles(values)
+            base, change = entry["base_median"], entry["change_median"]
+            entry["beyond_base_iqr"] = (None if base is None or change is None else
+                                        abs(change - base) > entry["base_q3"] - entry["base_q1"])
             summary[name] = entry
         out[workload] = summary
     return out
