@@ -166,26 +166,44 @@ def distance(wish, assortment) -> float:
     return float(_sq_distances(x.reshape(1, -1), y.reshape(1, -1))[0, 0]) / x.size
 
 
+#: the most multiply-adds in one block of the nearest-brand product.  Numpy's bundled
+#: OpenBLAS runs a gemm on the calling thread while m*n*k <= 65536 * 4 = 2^18 (0.3.31
+#: adds a thread per further 2^18), so every block stays on it with a factor 2 to spare.
+_BLOCK_MADDS = 2**17
+
+
+def _block_rows(num_brands: int, num_slots: int) -> int:
+    """Wish rows per block of the nearest-brand product: rows * N * S <= ``_BLOCK_MADDS``."""
+    return max(1, _BLOCK_MADDS // (num_brands * num_slots))
+
+
 def _nearest_brand(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
     """Per wish row, the brand of least :func:`_sq_distances`, ties to the smallest index.
 
     The candidate is the argmax of ``D = w.2a - |a|^2 = |w|^2 - d``.  With entries in
     [0, 1], u = eps/2 and gamma_n = nu/(1-nu) <= 2nu (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, ch. 3), ``D`` summed in any order is within 3S gamma_S +
-    u(S + 3S gamma_S) <= 8S^2 u of its value, and the sequential ``d`` within
-    S gamma_{S+2} <= 6S^2 u.  So a lead in ``D`` above 2(8 + 6)S^2 u = 14S^2 eps over
-    every other brand is a lead in ``d``; the slack to 16S^2 eps covers the threshold's
-    rounding, for every 1 <= S < 2^51.  Other rows, exact ties included, take the exact sum.
-    A plain ``einsum`` starts no BLAS threads.  At K=2e4, S=30, N=5 this is at parity
-    with ``cdist`` (about 3 ms, 2-vCPU Xeon); at K=50 it costs 0.02 ms against 0.007,
-    which only a ``run`` recording every sweep at small K would notice."""
-    D = np.einsum("ks,bs->kb", wish, 2.0 * assortment)
+    of Numerical Algorithms*, ch. 3), ``D`` summed in any order, fused multiply-adds
+    included, is within 3S gamma_S + u(S + 3S gamma_S) <= 8S^2 u of its value, and the
+    sequential ``d`` within S gamma_{S+2} <= 6S^2 u.  So a lead in ``D`` above
+    2(8 + 6)S^2 u = 14S^2 eps over every other brand is a lead in ``d``; the slack to
+    16S^2 eps covers the threshold's rounding, for every 1 <= S < 2^51.  Other rows,
+    exact ties included, take the exact sum.  So the product's summation order never
+    reaches the result, and ``D`` is a BLAS product, taken in blocks of
+    :func:`_block_rows` rows so that each block runs on the calling thread: one
+    whole-matrix product at K=2e4 starts a second BLAS thread, which on a 2-vCPU host
+    sometimes stalls for 8 ms a call."""
+    K, S = wish.shape
+    a2T = (2.0 * assortment).T
+    D = np.empty((K, assortment.shape[0]))
+    step = _block_rows(*assortment.shape)
+    for i in range(0, K, step):
+        np.matmul(wish[i : i + step], a2T, out=D[i : i + step])
     D -= np.einsum("bs,bs->b", assortment, assortment)
     best = D.argmax(axis=1)
-    margin = 16 * wish.shape[1] ** 2 * np.finfo(np.float64).eps
+    margin = 16 * S**2 * np.finfo(np.float64).eps
     # one count over the whole mask: a per-row count costs as much as the product
-    near = D >= (D[np.arange(len(D)), best] - margin)[:, None]
-    if np.count_nonzero(near) > len(D):
+    near = D >= (D[np.arange(K), best] - margin)[:, None]
+    if np.count_nonzero(near) > K:
         tied = np.count_nonzero(near, axis=1) > 1
         best[tied] = _sq_distances(wish[tied], assortment).argmin(axis=1)
     return best
@@ -225,9 +243,9 @@ def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
     schema = init_schema(cfg.M, rng)
     S = schema.total_slots
     assort = 1.0 - rng.random((cfg.N, S))
-    values = 1.0 - rng.random((cfg.K, S))
-    unknown = rng.random((cfg.K, S))
-    wish = np.where(unknown < cfg.p_unknown, 0.0, values)
+    wish = rng.random((cfg.K, S))
+    np.subtract(1.0, wish, out=wish)
+    wish[rng.random((cfg.K, S)) < cfg.p_unknown] = 0.0
     ranks = rng.random(cfg.K)
     if cfg.leader_count > 0:
         order = np.argsort(-ranks, kind="stable")

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +26,7 @@ from brandsim import (
     sweep,
 )
 from brandsim.dynamics import _draw_pupils
-from brandsim.model import _nearest_brand
+from brandsim.model import _block_rows, _nearest_brand
 from populations import make_population
 
 
@@ -177,6 +182,73 @@ def nearest_cases(draw):
     return wish, assort
 
 
+def block_edge_case(S, shift):
+    """Wishes of two full blocks of the nearest-brand product plus one row, and five
+    brands: 1 duplicates 0, 2 is 0 a few ulps off in one slot, and 3 and 4 differ in
+    one slot by a grid step.  The first and last row of each block is, in turn from
+    ``shift``, an exact tie (brand 0 and 1), an exact midpoint (3 and 4), brand 2,
+    a few ulps from brand 0, or all zero."""
+    N = 5
+    rng = np.random.default_rng(S)
+    step = _block_rows(N, S)
+    assort = 1.0 - rng.random((N, S))
+    assort[1] = assort[0]
+    assort[2] = assort[0]
+    assort[2, -1] = np.nextafter(np.nextafter(assort[0, -1], 0.0), 0.0)
+    assort[3, :] = assort[4, :] = 0.5
+    assort[3, 0], assort[4, 0] = 0.25, 0.75
+    midpoint = assort[3].copy()
+    midpoint[0] = 0.5
+    kinds = (assort[0], midpoint, assort[2], np.zeros(S))
+    wish = rng.random((2 * step + 1, S))
+    edges = (0, step - 1, step, 2 * step - 1, 2 * step)
+    for j, k in enumerate(edges):
+        wish[k] = kinds[(j + shift) % len(kinds)]
+    return wish, assort
+
+
+#: prints, around five affiliation reads at K=2e4, N=5, M=10 in a fresh interpreter,
+#: each task's CPU ticks, run state and context switches, the caller's excepted, each
+#: taken once no other task has run for 0.1 s (for at most 10 s)
+THREAD_PROBE = """
+import json, os, time
+import numpy as np
+from brandsim import Mode, SimConfig, init_population, refresh_affiliations
+
+def others():
+    seen = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rpartition(")")[2].split()
+        with open(f"/proc/self/task/{tid}/status") as f:
+            status = dict(line.split(":", 1) for line in f.read().splitlines())
+        seen[tid] = [fields[0], int(fields[11]) + int(fields[12]),
+                     status["voluntary_ctxt_switches"].strip(),
+                     status["nonvoluntary_ctxt_switches"].strip()]
+    return seen
+
+def quiet():
+    last, deadline = others(), time.monotonic() + 10
+    while time.monotonic() < deadline:
+        time.sleep(0.1)
+        now = others()
+        if now == last and all(state != "R" for state, *_ in now.values()):
+            break
+        last = now
+    return others()
+
+cfg = SimConfig(N=5, K=20000, M=10, mode=Mode.EQUALITY, seed=1)
+pop = init_population(cfg, np.random.default_rng(cfg.seed))
+before = quiet()
+for _ in range(5):
+    refresh_affiliations(pop)
+    pop.affiliations
+print(json.dumps({"before": before, "after": quiet()}))
+"""
+
+
 class TestNearestBrand:
     def test_single_brand(self):
         rng = np.random.default_rng(2)
@@ -214,6 +286,24 @@ class TestNearestBrand:
         for k, w in enumerate(wish):
             for b, a in enumerate(assort):
                 assert distance(w, a) == exact[k, b] / S
+
+    @pytest.mark.parametrize("shift", range(4))
+    @pytest.mark.parametrize("S", [1, 30])
+    def test_matches_cdist_across_block_edges(self, S, shift):
+        wish, assort = block_edge_case(S, shift)
+        exact = cdist(wish, assort, "sqeuclidean").argmin(axis=1)
+        assert _nearest_brand(wish, assort).tolist() == exact.tolist()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_affiliations_start_and_wake_no_thread(self):
+        # BLAS worker threads may start with numpy or at their first product, and a
+        # woken one runs and switches context; every other task must stay as it was
+        src = os.path.dirname(os.path.dirname(os.path.abspath(brandsim.__file__)))
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen["after"] == seen["before"]
 
     @pytest.mark.parametrize("S", [1, 2, 3])
     def test_margin_holds_at_few_slots(self, S):
@@ -321,6 +411,21 @@ class TestInitPopulation:
     def test_affiliations_are_argmin(self):
         pop = init_population(self.cfg(), np.random.default_rng(7))
         assert list(pop.affiliations) == nearest_by_scan(pop)
+
+    @pytest.mark.parametrize("p_unknown", [0.0, 0.25, 1.0])
+    def test_draw_replays_from_a_twin_stream(self, p_unknown):
+        cfg = self.cfg(K=40, p_unknown=p_unknown)
+        rng = np.random.default_rng(9)
+        pop = init_population(cfg, rng)
+        S = pop.schema.total_slots
+        twin = np.random.default_rng(9)
+        twin.random(cfg.M + cfg.N * S)
+        values, coins = twin.random((cfg.K, S)), twin.random((cfg.K, S))
+        assert np.array_equal(pop.wish_matrix, np.where(coins < p_unknown, 0.0, 1.0 - values))
+        # the stream sits exactly past the schema, assortments, values, coins and ranks
+        ahead = np.random.default_rng(9)
+        ahead.random(cfg.M + cfg.N * S + 2 * cfg.K * S + cfg.K)
+        assert rng.random(4).tolist() == ahead.random(4).tolist()
 
     def test_t_starts_at_zero(self):
         assert init_population(self.cfg(), np.random.default_rng(8)).t == 0
