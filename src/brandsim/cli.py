@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .config import ConfigurationError, SimConfig, load_config
@@ -109,6 +110,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError:
         print("configuration error: the configuration needs more memory than is available",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenProcessPool:
+        # the kernel kills a worker that touches more memory than the machine has
+        print("configuration error: a worker process died, most likely for lack of memory",
               file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -14,7 +14,6 @@ import dataclasses
 import os
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -111,12 +110,41 @@ def _windowed(pool: Executor, children: Iterator[SimConfig], window: int) -> Ite
     not yet taken, where ``Executor.map`` submits every child before it yields the
     first result."""
     pending: deque[Future] = deque()
-    for child in children:
-        if len(pending) == window:
+    try:
+        for child in children:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_run_stats, child))
+        while pending:
             yield pending.popleft().result()
-        pending.append(pool.submit(_run_stats, child))
-    while pending:
-        yield pending.popleft().result()
+    finally:
+        # a run raised or the fold was interrupted: the kept pool must not run the rest
+        for future in pending:
+            future.cancel()
+
+
+#: the process's one worker pool and its worker count, or None before the first
+_pool: tuple[int, Executor] | None = None
+
+
+def _kept_pool(workers: int) -> Executor:
+    """The process's pool of ``workers`` workers, started on first use and kept.
+
+    A pool of another size, or one broken by a dead worker, is shut down
+    without waiting and replaced.  ``concurrent.futures`` joins the workers at
+    interpreter exit.
+    """
+    global _pool
+    if _pool is not None:
+        size, pool = _pool
+        # ``_broken`` is the flag a ProcessPoolExecutor sets once one of its workers died
+        if size == workers and not pool._broken:
+            return pool
+        _pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    _pool = workers, pool
+    return pool
 
 
 def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
@@ -126,7 +154,9 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     folded in run order regardless of how many workers executed them, so the
     summary is identical for any ``parallel`` setting.  The dominant-brand
     histogram counts converged runs only, at the sweep they converged at, and
-    sums to 1 when any converged; a worker records nothing else.
+    sums to 1 when any converged; a worker records nothing else.  Pooled runs
+    go to the process's kept pool (:func:`_kept_pool`), so its workers run the
+    modules as they were when that pool started.
     """
     runs = _coerce_int("runs", runs)
     parallel = _coerce_int("parallel", parallel)
@@ -137,14 +167,14 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     workers = min(parallel, runs, os.cpu_count() or 1)
     converged = sweeps = 0
     histogram = [0] * cfg.N
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # four runs in flight per worker keep each busy while results are taken in order
-        results = _windowed(pool, children, 4 * workers) if pool else map(_run_stats, children)
-        for at, dom in results:
-            if at is not None:
-                converged += 1
-                sweeps += at
-                histogram[dom] += 1
+    # four runs in flight per worker keep each busy while results are taken in order
+    results = (_windowed(_kept_pool(workers), children, 4 * workers) if workers > 1
+               else map(_run_stats, children))
+    for at, dom in results:
+        if at is not None:
+            converged += 1
+            sweeps += at
+            histogram[dom] += 1
     return EnsembleSummary(
         runs=runs,
         consensus_fraction=converged / runs,

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,22 @@ def test_run_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "more memory than is available" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("ensemble", ["ensemble", "--runs", "2"]),
+    ("sweep_param", ["sweep", "--param", "p_copy", "--values", "1"]),
+])
+def test_dead_worker_is_a_config_error(tmp_path, capsys, monkeypatch, name, argv):
+    def dead_worker(*args, **kwargs):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(cli, name, dead_worker)
+    code = cli.main(argv + ["--config", write_config(tmp_path, TINY), "--parallel", "2",
+                            "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "worker process died" in err
 
 
 def test_run_accepts_huge_shop_count_at_rate_zero(tmp_path):

@@ -1,7 +1,14 @@
 import dataclasses
 import io
 import math
-from concurrent.futures import Executor
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import Executor, Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +266,7 @@ class TestEnsemble:
                 in_flight.append(len(submitted) - len(taken))
                 return Future(fn, child)
 
+        monkeypatch.setattr(harness, "_pool", None)  # so the kept pool is this fake
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(harness, "_run_stats", lambda child: (None, 0))
@@ -275,6 +283,166 @@ class TestEnsemble:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         c = cfg(K=8, M=2, max_sweeps=300)
         assert ensemble(c, 20, parallel=2) == ensemble(c, 20)
+
+
+def worker_pids():
+    """The live worker processes of this process's pools."""
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def own_pool():
+    """No kept pool before the test or after it: a pool the test starts after a patch
+    serves no later test, and no two pools' workers are alive at once."""
+
+    def drop():
+        if harness._pool is not None:
+            harness._pool[1].shutdown()
+            harness._pool = None
+
+    drop()
+    yield
+    drop()
+
+
+class TestKeptPool:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_stopped_fold_cancels_every_run_not_yet_taken(self, monkeypatch, error):
+        submitted, cancelled = [], []
+
+        class Future:
+            def __init__(self, child):
+                self.child = child
+
+            def result(self, timeout=None):
+                return harness._run_stats(self.child)
+
+            def cancel(self):
+                cancelled.append(self.child)
+                return True
+
+        class Pool(Executor):
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, child):
+                submitted.append(child)
+                return Future(child)
+
+        def run_stats(child):
+            if child == submitted[2]:
+                raise error("third run")
+            return None, 0
+
+        monkeypatch.setattr(harness, "_pool", None)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_run_stats", run_stats)
+        with pytest.raises(error, match="third run"):
+            ensemble(cfg(), 100, parallel=2)
+        # runs 0 and 1 were taken; a full window of 8 stood behind run 2 when it raised
+        assert len(submitted) == 10
+        assert cancelled == submitted[3:]
+
+    def test_pool_is_kept_until_another_size_is_asked_for(self, monkeypatch):
+        built, shut = [], []
+
+        class Pool(Executor):
+            _broken = False
+
+            def __init__(self, max_workers):
+                self.size = max_workers
+                built.append(self)
+
+            def submit(self, fn, child):
+                future = Future()
+                future.set_result(fn(child))
+                return future
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shut.append((self, wait))
+
+        monkeypatch.setattr(harness, "_pool", None)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        c = cfg(K=8, M=2, max_sweeps=300)
+        serial = ensemble(c, 4)
+        assert ensemble(c, 4, parallel=2) == serial
+        assert ensemble(c, 4, parallel=2) == serial
+        assert [pool.size for pool in built] == [2] and shut == []
+        assert ensemble(c, 4, parallel=3) == serial
+        assert [pool.size for pool in built] == [2, 3]
+        assert shut == [(built[0], False)]
+
+    def test_consecutive_ensembles_run_on_the_same_workers(self, two_cpus):
+        c = cfg(K=8, M=2, max_sweeps=300)
+        ensemble(c, 4, parallel=2)
+        first = worker_pids()
+        assert ensemble(c, 4, parallel=2) == ensemble(c, 4)
+        assert len(first) == 2 and worker_pids() == first
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches the workers only through fork")
+    def test_a_failed_run_leaves_the_kept_pool_working(self, two_cpus, own_pool, monkeypatch):
+        c = cfg(K=8, M=2, max_sweeps=300)
+        bad = derive_child_seed(c.seed, 2)
+        real_sweep = harness.sweep
+
+        def sweep(pop, mode, params, rng):
+            if params.seed == bad:
+                raise RuntimeError("run 2 failed")
+            real_sweep(pop, mode, params, rng)
+
+        # patched before the pool starts, so its forked workers run this sweep
+        monkeypatch.setattr(harness, "sweep", sweep)
+        with pytest.raises(RuntimeError, match="run 2 failed"):
+            ensemble(c, 12, parallel=2)
+        workers = worker_pids()
+        other = dataclasses.replace(c, seed=c.seed + 1)
+        assert ensemble(other, 8, parallel=2) == ensemble(other, 8)
+        assert len(workers) == 2 and worker_pids() == workers
+
+    def test_a_dead_worker_is_replaced(self, two_cpus):
+        c = cfg(K=8, M=2, max_sweeps=300)
+        serial = ensemble(c, 4)
+        ensemble(c, 4, parallel=2)
+        dead = worker_pids()
+        os.kill(dead[0], signal.SIGKILL)
+        # the pool sees the death, marks itself broken, then ends and joins its other worker
+        deadline = time.monotonic() + 30
+        while set(dead) & set(worker_pids()):
+            assert time.monotonic() < deadline, "the broken pool kept a worker"
+            time.sleep(0.01)
+        assert ensemble(c, 4, parallel=2) == serial
+        assert len(worker_pids()) == 2 and not set(dead) & set(worker_pids())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_no_worker_outlives_the_interpreter(self):
+        script = ("import multiprocessing\nimport brandsim\nfrom brandsim import harness\n"
+                  "harness.os.cpu_count = lambda: 2\n"
+                  "c = brandsim.SimConfig(N=2, K=8, M=2, mode=brandsim.Mode.EQUALITY, seed=3)\n"
+                  "brandsim.ensemble(c, 4, parallel=2)\n"
+                  "print(*(p.pid for p in multiprocessing.active_children()))\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        # a session of its own, so a hang at exit can be ended with every worker it left
+        proc = subprocess.Popen([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+        assert proc.returncode == 0, err
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2
+        assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
 
 
 class TestRunStats:
