@@ -186,25 +186,30 @@ def _nearest_brand(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
     included, is within 3S gamma_S + u(S + 3S gamma_S) <= 8S^2 u of its value, and the
     sequential ``d`` within S gamma_{S+2} <= 6S^2 u.  So a lead in ``D`` above
     2(8 + 6)S^2 u = 14S^2 eps over every other brand is a lead in ``d``; the slack to
-    16S^2 eps covers the threshold's rounding, for every 1 <= S < 2^51.  Other rows,
-    exact ties included, take the exact sum.  So the product's summation order never
-    reaches the result, and ``D`` is a BLAS product, taken in blocks of
-    :func:`_block_rows` rows so that each block runs on the calling thread: one
-    whole-matrix product at K=2e4 starts a second BLAS thread, which on a 2-vCPU host
-    sometimes stalls for 8 ms a call."""
+    16S^2 eps covers the threshold's rounding, for every 1 <= S < 2^51.  A row with only
+    one brand that close to its maximum takes that brand; other rows, exact ties
+    included, take the exact sum.  So the product's summation order never reaches the result,
+    and ``D`` is a BLAS product, taken in blocks of :func:`_block_rows` wish rows so
+    that each block runs on the calling thread: one whole-matrix product at K=2e4
+    starts a second BLAS thread, which on a 2-vCPU host sometimes stalls for 8 ms a
+    call.  ``D`` is stored brand-major, N x K, so that each reduction over the brands
+    (the maximum, the near count and the near brand's index) is a pass over N
+    contiguous rows of K, not K inner loops over rows of N."""
     K, S = wish.shape
-    a2T = (2.0 * assortment).T
-    D = np.empty((K, assortment.shape[0]))
-    step = _block_rows(*assortment.shape)
+    N = assortment.shape[0]
+    a2 = 2.0 * assortment
+    D = np.empty((N, K))
+    step = _block_rows(N, S)
     for i in range(0, K, step):
-        np.matmul(wish[i : i + step], a2T, out=D[i : i + step])
-    D -= np.einsum("bs,bs->b", assortment, assortment)
-    best = D.argmax(axis=1)
+        np.matmul(a2, wish[i : i + step].T, out=D[:, i : i + step])
+    D -= np.einsum("bs,bs->b", assortment, assortment)[:, None]
     margin = 16 * S**2 * np.finfo(np.float64).eps
-    # one count over the whole mask: a per-row count costs as much as the product
-    near = D >= (D[np.arange(K), best] - margin)[:, None]
+    near = D >= D.max(axis=0) - margin
+    # the sum of a row's near indices: its one near brand, where it has only one
+    best = np.arange(N) @ near
+    # every row has a near brand, so one count over the whole mask finds any row with two
     if np.count_nonzero(near) > K:
-        tied = np.count_nonzero(near, axis=1) > 1
+        tied = np.count_nonzero(near, axis=0) > 1
         best[tied] = _sq_distances(wish[tied], assortment).argmin(axis=1)
     return best
 
@@ -245,7 +250,8 @@ def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
     assort = 1.0 - rng.random((cfg.N, S))
     wish = rng.random((cfg.K, S))
     np.subtract(1.0, wish, out=wish)
-    wish[rng.random((cfg.K, S)) < cfg.p_unknown] = 0.0
+    # every wish is in (0, 1], so a coin's 1.0 keeps it and its 0.0 gives +0.0
+    np.multiply(wish, rng.random((cfg.K, S)) >= cfg.p_unknown, out=wish)
     ranks = rng.random(cfg.K)
     if cfg.leader_count > 0:
         order = np.argsort(-ranks, kind="stable")

@@ -207,6 +207,43 @@ def block_edge_case(S, shift):
     return wish, assort
 
 
+@st.composite
+def multi_block_cases(draw):
+    """Wishes over one to three blocks of the nearest-brand product, the last one full
+    or cut short, for N from 1 to 9 and S from 1 to 40.  Some brands duplicate an
+    earlier one or lie one ulp from it in one slot; brand N-1 is unlike every other.
+    The first and last row of each block, the last row and a few others are, at
+    random, a brand (an exact tie where that brand is duplicated), brand N-1, all
+    zero or left as drawn."""
+    N = draw(st.integers(1, 9))
+    S = draw(st.integers(1, 40))
+    step = _block_rows(N, S)
+    blocks = draw(st.integers(1, 3))
+    cut = draw(st.integers(1, step - 1)) if step > 1 and draw(st.booleans()) else 0
+    K = blocks * step - cut
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        wish, assort = rng.integers(0, 5, (K, S)) / 4, rng.integers(1, 5, (N, S)) / 4
+    else:
+        wish, assort = rng.random((K, S)), rng.random((N, S))
+    for b in range(1, N - 1):
+        kind = draw(st.sampled_from(["own", "duplicate", "ulp"]))
+        if kind != "own":
+            assort[b] = assort[draw(st.integers(0, b - 1))]
+        if kind == "ulp":
+            s = draw(st.integers(0, S - 1))
+            assort[b, s] = np.nextafter(assort[b, s], draw(st.sampled_from([0.0, 1.0])))
+    # off the grid and a.s. off every other random brand in slot 0
+    assort[N - 1, 0] = 0.125 + 0.5 * rng.random()
+    edges = [k for j in range(blocks) for k in (j * step, (j + 1) * step - 1) if k < K]
+    rows = np.unique(np.concatenate([edges, [K - 1], rng.integers(0, K, 20)]))
+    kinds = rng.integers(0, 4, rows.size)
+    wish[rows[kinds == 0]] = assort[rng.integers(0, N, np.count_nonzero(kinds == 0))]
+    wish[rows[kinds == 1]] = assort[N - 1]
+    wish[rows[kinds == 2]] = 0.0
+    return wish, assort, rows[kinds == 1]
+
+
 #: prints, around five affiliation reads at K=2e4, N=5, M=10 in a fresh interpreter,
 #: each task's CPU ticks, run state and context switches, the caller's excepted, each
 #: taken once no other task has run for 0.1 s (for at most 10 s)
@@ -292,6 +329,14 @@ class TestNearestBrand:
     def test_matches_cdist_across_block_edges(self, S, shift):
         wish, assort = block_edge_case(S, shift)
         exact = cdist(wish, assort, "sqeuclidean").argmin(axis=1)
+        assert _nearest_brand(wish, assort).tolist() == exact.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(multi_block_cases())
+    def test_matches_cdist_over_several_blocks(self, case):
+        wish, assort, last = case
+        exact = cdist(wish, assort, "sqeuclidean").argmin(axis=1)
+        assert (exact[last] == len(assort) - 1).all()
         assert _nearest_brand(wish, assort).tolist() == exact.tolist()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -426,6 +471,18 @@ class TestInitPopulation:
         ahead = np.random.default_rng(9)
         ahead.random(cfg.M + cfg.N * S + 2 * cfg.K * S + cfg.K)
         assert rng.random(4).tolist() == ahead.random(4).tolist()
+
+    @pytest.mark.parametrize("p_unknown", [0.0, 0.25, 1.0])
+    def test_draw_bytes_replay_from_a_twin_stream(self, p_unknown):
+        # bytes, not values: an unknown slot must be +0.0, and array_equal takes -0.0 too
+        cfg = self.cfg(K=200, p_unknown=p_unknown)
+        wish = init_population(cfg, np.random.default_rng(9)).wish_matrix
+        twin = np.random.default_rng(9)
+        S = init_schema(cfg.M, twin).total_slots
+        twin.random((cfg.N, S))
+        values, coins = twin.random((cfg.K, S)), twin.random((cfg.K, S))
+        assert wish.tobytes() == np.where(coins < p_unknown, 0.0, 1.0 - values).tobytes()
+        assert not np.signbit(wish).any()
 
     def test_t_starts_at_zero(self):
         assert init_population(self.cfg(), np.random.default_rng(8)).t == 0
