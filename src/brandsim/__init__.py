@@ -7,7 +7,6 @@ reaches consensus; brand dominance then follows from customer counts.
 
 from .config import (
     ConfigurationError,
-    KernelParams,
     Mode,
     SimConfig,
     load_config,
@@ -39,7 +38,6 @@ from .model import (
     distance,
     index_from_uniform,
     init_population,
-    init_schema,
     refresh_affiliations,
 )
 
@@ -49,7 +47,6 @@ __all__ = [
     "BrandProfile",
     "ConfigurationError",
     "EnsembleSummary",
-    "KernelParams",
     "Mode",
     "NeedSchema",
     "PairEvent",
@@ -67,7 +64,6 @@ __all__ = [
     "fluctuation",
     "index_from_uniform",
     "init_population",
-    "init_schema",
     "leader_step",
     "load_config",
     "parse_config_text",

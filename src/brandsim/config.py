@@ -1,9 +1,9 @@
 """Every input rule: :class:`ConfigurationError`, which every input check raises,
-:class:`Mode`, :class:`KernelParams`, the :class:`SimConfig` extending it, the
-coercions and bounds that :mod:`brandsim.model` applies too, and the ``key =
-value`` config-file format.  The package's bottom layer: it imports nothing from
-the package.  ``_KINDS`` gives each annotation its converter, the wording of its
-parse error and its coercion.
+:class:`Mode`, :class:`SimConfig`, the one config type, which a run and its kernels
+both take, the coercions and bounds that :mod:`brandsim.model` applies too, and
+the ``key = value`` config-file format.  The package's bottom layer: it imports
+nothing from the package.  ``_KINDS`` gives each annotation its converter, the
+wording of its parse error and its coercion.
 
 A config file is flat UTF-8 text, one ``key = value`` per line, with ``#``
 starting a comment.  Keys are exactly the :class:`SimConfig` field names;
@@ -102,39 +102,15 @@ _KINDS = {
 _KINDS.update({f"{annotation} | None": kind for annotation, kind in _KINDS.items()})
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Rates for the three influence channels, declared and checked only here:
-    :class:`SimConfig` extends this class, so the kernels take a run's config
-    as it is, and this class coerces the int and float fields of both.  The
-    pupil bound, which needs K, is not checked here."""
+@dataclass(frozen=True, kw_only=True)
+class SimConfig:
+    """Everything a run needs besides the generator itself, and the one config type:
+    the kernels take a run's config as it is and read only its three rates,
+    ``p_copy``, ``leader_pupils`` and ``shop_teach_rate``."""
 
     p_copy: float = 1.0
     leader_pupils: int = 0
     shop_teach_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        # a SimConfig's own fields too; an annotation ending in "| None" lets None through
-        for f in fields(self):
-            coerce = _KINDS[f.type][2]
-            value = getattr(self, f.name)
-            if coerce is not None and not (value is None and f.type.endswith(" | None")):
-                object.__setattr__(self, f.name, coerce(f.name, value))
-        if not 0.0 <= self.p_copy <= 1.0:
-            raise ConfigurationError(f"p_copy must lie in [0, 1], got {self.p_copy}")
-        if self.leader_pupils < 0:
-            raise ConfigurationError(f"leader_pupils must be >= 0, got {self.leader_pupils}")
-        if not 0.0 <= self.shop_teach_rate < math.inf:
-            raise ConfigurationError(
-                f"shop_teach_rate must be finite and >= 0, got {self.shop_teach_rate}"
-            )
-
-
-@dataclass(frozen=True, kw_only=True)
-class SimConfig(KernelParams):
-    """Everything a run needs besides the generator itself.  The kernel rates are
-    those of the base class :class:`KernelParams`; the other fields are keyword-only."""
-
     N: int
     K: int
     M: int
@@ -149,8 +125,22 @@ class SimConfig(KernelParams):
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        # coerces every int and float field, then range-checks the kernel rates
-        super().__post_init__()
+        # every int and float field, in field order; an annotation ending in "| None"
+        # lets None through
+        for f in fields(self):
+            coerce = _KINDS[f.type][2]
+            value = getattr(self, f.name)
+            if coerce is not None and not (value is None and f.type.endswith(" | None")):
+                object.__setattr__(self, f.name, coerce(f.name, value))
+        # the kernel rates first, ahead of the mode and the sizes
+        if not 0.0 <= self.p_copy <= 1.0:
+            raise ConfigurationError(f"p_copy must lie in [0, 1], got {self.p_copy}")
+        if self.leader_pupils < 0:
+            raise ConfigurationError(f"leader_pupils must be >= 0, got {self.leader_pupils}")
+        if not 0.0 <= self.shop_teach_rate < math.inf:
+            raise ConfigurationError(
+                f"shop_teach_rate must be finite and >= 0, got {self.shop_teach_rate}"
+            )
         if not isinstance(self.mode, Mode):
             raise ConfigurationError(f"mode must be a Mode value, got {self.mode!r}")
         if self.N < 1:

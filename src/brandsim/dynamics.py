@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigurationError, KernelParams, Mode, shop_event_count
+from .config import ConfigurationError, Mode, SimConfig, shop_event_count
 from .model import NeedSchema, Population, index_from_uniform, refresh_affiliations
 
 
@@ -205,7 +205,7 @@ def _draw_pupils(leaders: tuple[int, ...], K: int, u: np.ndarray) -> np.ndarray:
 
 def leader_step(
     pop: Population,
-    params: KernelParams,
+    params: SimConfig,
     rng: np.random.Generator,
 ) -> int:
     """Each rank-1 leader teaches ``leader_pupils`` distinct non-leaders.
@@ -219,6 +219,7 @@ def leader_step(
     if not leaders or pupils == 0:
         return 0
     K, L = pop.num_customers, len(leaders)
+    # the config bounds the pupils by its own K, but the population need not come from it
     if pupils > K - L:
         raise ConfigurationError(f"leader_pupils={pupils} exceeds the {K - L} non-leaders")
     # each leader's row: its selection uniforms, then its teaching triples
@@ -232,7 +233,7 @@ def leader_step(
 
 def shop_step(
     pop: Population,
-    params: KernelParams,
+    params: SimConfig,
     rng: np.random.Generator,
 ) -> int:
     """Brands teach their own assortment to uniformly chosen customers.
@@ -257,7 +258,7 @@ def shop_step(
 def sweep(
     pop: Population,
     mode: Mode,
-    params: KernelParams,
+    params: SimConfig,
     rng: np.random.Generator,
     event_log: list[PairEvent] | None = None,
 ) -> None:

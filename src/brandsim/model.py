@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import (MAX_SUBENTRIES, ConfigurationError, SimConfig, _coerce_int, _coerce_ints,
-                     check_shop_counts)
+from .config import MAX_SUBENTRIES, ConfigurationError, SimConfig, _coerce_ints, check_shop_counts
 
 
 def index_from_uniform(u, n):
@@ -158,11 +157,14 @@ def _sq_distances(wish: np.ndarray, assortment: np.ndarray) -> np.ndarray:
 def distance(wish, assortment) -> float:
     """Mean squared slot difference between two same-shape profiles: the
     :func:`_sq_distances` sum over the slot count.  Unknown entries count as
-    literal zeros.  Symmetric, and exactly zero iff the profiles are identical."""
+    literal zeros.  Symmetric, and exactly zero iff the profiles are identical.
+    Each profile needs at least one slot."""
     x = np.asarray(wish, dtype=np.float64)
     y = np.asarray(assortment, dtype=np.float64)
     if x.shape != y.shape:
         raise ConfigurationError(f"profile shapes differ: {x.shape} vs {y.shape}")
+    if x.size == 0:
+        raise ConfigurationError("a profile needs at least one slot")
     return float(_sq_distances(x.reshape(1, -1), y.reshape(1, -1))[0, 0]) / x.size
 
 
@@ -220,23 +222,11 @@ def refresh_affiliations(pop: Population) -> None:
     pop._affiliations = None
 
 
-def init_schema(num_needs: int, rng: np.random.Generator) -> NeedSchema:
-    """Draw a schema with each need's subentry count uniform on 1..5.
-
-    Consumes ``num_needs`` uniforms; count ``i`` is
-    ``1 + index_from_uniform(u_i, 5)``.
-    """
-    num_needs = _coerce_int("M", num_needs)
-    if num_needs < 1:
-        raise ConfigurationError(f"M must be >= 1, got {num_needs}")
-    u = rng.random(num_needs)
-    return NeedSchema(tuple((index_from_uniform(u, MAX_SUBENTRIES) + 1).tolist()))
-
-
 def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
     """Draw the starting population for a run.
 
-    Draw order (all uniforms from the single stream): M schema draws, then
+    Draw order (all uniforms from the single stream): M schema draws, need
+    ``i`` carrying ``1 + index_from_uniform(u_i, 5)`` subentries, then
     N*S brand assortment values as ``1 - u`` (brand-major, slots in flat
     order), then K*S candidate wish values as ``1 - u`` (customer-major),
     then K*S unknown-need coins (slot becomes 0 iff ``u < p_unknown``), then
@@ -245,7 +235,8 @@ def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
     exactly 1; if ``aligned_leader_brand`` is set their wishes are replaced
     by that brand's assortment.  No further draws are consumed.
     """
-    schema = init_schema(cfg.M, rng)
+    jmax = index_from_uniform(rng.random(cfg.M), MAX_SUBENTRIES) + 1
+    schema = NeedSchema(tuple(jmax.tolist()))
     S = schema.total_slots
     assort = 1.0 - rng.random((cfg.N, S))
     wish = rng.random((cfg.K, S))

@@ -1,6 +1,6 @@
-"""The random population that the unit tests build."""
+"""The random population and the kernel config that the unit tests build."""
 
-from brandsim import NeedSchema, Population
+from brandsim import Mode, NeedSchema, Population, SimConfig
 
 
 def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None, shop_counts=None):
@@ -15,3 +15,10 @@ def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None, shop_
         ranks = rng.random(K)
     assort = 1.0 - rng.random((N, S))
     return Population(schema, wish, ranks, assort, shop_counts or (1,) * N)
+
+
+def rates(p_copy=1.0, leader_pupils=0, shop_teach_rate=0.0):
+    """A config for the kernels, which read only these three rates; the rest is the
+    smallest valid run whose K admits ``leader_pupils`` pupils."""
+    return SimConfig(N=1, K=max(2, leader_pupils + 1), M=1, mode=Mode.EQUALITY, seed=0,
+                     p_copy=p_copy, leader_pupils=leader_pupils, shop_teach_rate=shop_teach_rate)

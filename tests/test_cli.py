@@ -178,37 +178,32 @@ def test_io_errors_exit_3(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("i/o error:")
 
 
-def test_run_rejects_infinite_shop_rate(tmp_path, capsys):
-    path = write_config(tmp_path, TINY + "shop_teach_rate = inf\n")
-    code = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    assert "shop_teach_rate" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def _tiny_with(**keys):
+    """TINY with each of ``keys`` set, or added, as config-file bytes."""
+    lines = [line for line in TINY.splitlines() if line.split(" =")[0] not in keys]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]).encode()
 
 
-def test_run_rejects_non_utf8_config(tmp_path, capsys):
+@pytest.mark.parametrize("content, expected", [
+    (_tiny_with(shop_teach_rate="inf"), "shop_teach_rate"),
+    (_tiny_with(shop_teach_rate="1e30"), "shop_teach_rate"),
+    (TINY.encode("utf-8") + b"# \xff\n", "sim.cfg: not UTF-8 text"),
+    (_tiny_with(shop_teach_rate=1, shop_counts="1, " + "9" * 400), "shop_counts"),
+    (_tiny_with(N=10**30), "N"),
+    (_tiny_with(K=10**30), "K"),
+    (_tiny_with(M=10**30), "M"),
+    # either array has few enough cells for an index but too many bytes for numpy
+    (_tiny_with(N=2, K=2**60, M=1), "K"),
+    (_tiny_with(N=1, K=6, M=1, shop_counts=2**60, shop_teach_rate=1), "shop_counts"),
+], ids=["infinite_shop_rate", "oversized_shop_rate", "non_utf8", "shop_count_beyond_float_range",
+        "N_beyond_index_range", "K_beyond_index_range", "M_beyond_index_range",
+        "cells_beyond_numpy_byte_limit", "shop_events_beyond_numpy_byte_limit"])
+def test_run_rejects_config(tmp_path, capsys, content, expected):
     path = tmp_path / "sim.cfg"
-    path.write_bytes(TINY.encode("utf-8") + b"# \xff\n")
+    path.write_bytes(content)
     code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
-    assert str(path) in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_run_rejects_oversized_shop_rate(tmp_path, capsys):
-    path = write_config(tmp_path, TINY + "shop_teach_rate = 1e30\n")
-    code = cli.main(["run", "--config", path, "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    assert "shop_teach_rate" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_run_rejects_shop_count_beyond_float_range(tmp_path, capsys):
-    text = TINY + "shop_teach_rate = 1\nshop_counts = 1, " + "9" * 400 + "\n"
-    code = cli.main(["run", "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    assert "shop_counts" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -246,35 +241,6 @@ def test_run_accepts_huge_shop_count_at_rate_zero(tmp_path):
     code = cli.main(["run", "--config", write_config(tmp_path, text), "--out", str(out)])
     assert code == cli.EXIT_OK
     assert (out / "timeseries.csv").is_file()
-
-
-@pytest.mark.parametrize("key", ["N", "K", "M"])
-def test_run_rejects_size_beyond_index_range(tmp_path, capsys, key):
-    lines = [f"{key} = {10**30}" if line.split(" =")[0] == key else line
-             for line in TINY.splitlines()]
-    code = cli.main(["run", "--config", write_config(tmp_path, "\n".join(lines)),
-                     "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "sizes,key",
-    [
-        (f"N = 2\nK = {2**60}\nM = 1\n", "K"),
-        (f"N = 1\nK = 6\nM = 1\nshop_counts = {2**60}\nshop_teach_rate = 1\n", "shop_counts"),
-    ],
-    ids=["cells", "shop_events"],
-)
-def test_run_rejects_array_beyond_numpy_byte_limit(tmp_path, capsys, sizes, key):
-    # either array has few enough cells for an index but too many bytes for numpy
-    text = sizes + "mode = equality\nseed = 5\n"
-    code = cli.main(["run", "--config", write_config(tmp_path, text),
-                     "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from scipy.spatial.distance import cdist
 
 from brandsim import (
     ConfigurationError,
-    KernelParams,
     Mode,
     NeedSchema,
     Population,
@@ -19,7 +18,7 @@ from brandsim import (
     sweep,
 )
 from brandsim.dynamics import _MIN_BATCH, _apply_copies, _draw_pupils
-from populations import make_population
+from populations import make_population, rates
 
 
 def pair_events(pop, mode, params, rng):
@@ -30,60 +29,10 @@ def pair_events(pop, mode, params, rng):
     return log
 
 
-class TestKernelParams:
-    def test_rejects_bad_p_copy(self):
-        with pytest.raises(ConfigurationError):
-            KernelParams(p_copy=1.5)
-        with pytest.raises(ConfigurationError):
-            KernelParams(p_copy=-0.1)
-
-    def test_rejects_negative_rates(self):
-        with pytest.raises(ConfigurationError):
-            KernelParams(p_copy=0.5, leader_pupils=-1)
-        with pytest.raises(ConfigurationError):
-            KernelParams(p_copy=0.5, shop_teach_rate=-0.5)
-
-    def test_rejects_non_finite_shop_rate(self):
-        for rate in (float("inf"), float("nan")):
-            with pytest.raises(ConfigurationError) as exc:
-                KernelParams(p_copy=0.5, shop_teach_rate=rate)
-            assert "shop_teach_rate" in str(exc.value)
-
-    @pytest.mark.parametrize("pupils", [2.5, True, "3", None])
-    def test_rejects_non_integer_pupils(self, pupils):
-        with pytest.raises(ConfigurationError) as exc:
-            KernelParams(p_copy=0.5, leader_pupils=pupils)
-        assert "leader_pupils" in str(exc.value)
-
-    def test_accepts_numpy_integer_pupils(self):
-        params = KernelParams(p_copy=0.5, leader_pupils=np.int64(3))
-        assert params.leader_pupils == 3 and type(params.leader_pupils) is int
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("p_copy", "0.5"), ("p_copy", None), ("p_copy", True), ("shop_teach_rate", "1")],
-    )
-    def test_rejects_non_numeric_rates(self, field, value):
-        with pytest.raises(ConfigurationError, match=field):
-            KernelParams(**{"p_copy": 0.5, field: value})
-
-    def test_accepts_numpy_float_rates(self):
-        params = KernelParams(p_copy=np.float64(0.5), shop_teach_rate=np.float64(2.0))
-        assert params == KernelParams(p_copy=0.5, shop_teach_rate=2.0)
-        assert type(params.p_copy) is float and type(params.shop_teach_rate) is float
-
-    def test_defaults(self):
-        assert KernelParams() == KernelParams(p_copy=1.0, leader_pupils=0, shop_teach_rate=0.0)
-
-    def test_coerces_every_rate_before_range_checks(self):
-        with pytest.raises(ConfigurationError, match="leader_pupils"):
-            KernelParams(p_copy=1.5, leader_pupils="x")
-
-
 class TestSlotCopy:
     """The copy triple, seen through the two pair events of a K=2 sweep."""
 
-    HIER = KernelParams(p_copy=1.0)
+    HIER = rates(p_copy=1.0)
 
     @staticmethod
     def pair(rng, jmax, source_row=None):
@@ -100,7 +49,7 @@ class TestSlotCopy:
         pop = self.pair(rng, (2, 3))
         before = pop.wish_matrix.copy()
         for _ in range(100):
-            log = pair_events(pop, Mode.EQUALITY, KernelParams(p_copy=0.0), rng)
+            log = pair_events(pop, Mode.EQUALITY, rates(p_copy=0.0), rng)
             assert not any(ev.copied for ev in log)
         assert np.array_equal(pop.wish_matrix, before)
 
@@ -151,13 +100,13 @@ class TestPairStep:
         rng = np.random.default_rng(4)
         pop = make_population(rng, K=2)
         for _ in range(50):
-            for ev in pair_events(pop, Mode.EQUALITY, KernelParams(p_copy=1.0), rng):
+            for ev in pair_events(pop, Mode.EQUALITY, rates(p_copy=1.0), rng):
                 assert {ev.first, ev.partner} == {0, 1}
 
     def test_pair_members_distinct(self):
         rng = np.random.default_rng(5)
         pop = make_population(rng, K=5, p_unknown=0.0)
-        params = KernelParams(p_copy=0.5)
+        params = rates(p_copy=0.5)
         for _ in range(100):
             for ev in pair_events(pop, Mode.EQUALITY, params, rng):
                 assert ev.first != ev.partner
@@ -166,7 +115,7 @@ class TestPairStep:
     def test_hierarchy_full_rank_gap_always_copies(self):
         rng = np.random.default_rng(6)
         pop = make_population(rng, K=2, p_unknown=0.0, ranks=[0.0, 1.0])
-        params = KernelParams(p_copy=1.0)
+        params = rates(p_copy=1.0)
         for _ in range(150):
             for ev in pair_events(pop, Mode.HIERARCHY, params, rng):
                 assert ev.learner == 0
@@ -176,14 +125,14 @@ class TestPairStep:
     def test_hierarchy_equal_ranks_never_copy(self):
         rng = np.random.default_rng(7)
         pop = make_population(rng, K=4, p_unknown=0.0, ranks=[0.5, 0.5, 0.5, 0.5])
-        params = KernelParams(p_copy=1.0)
+        params = rates(p_copy=1.0)
         for _ in range(250):
             assert not any(ev.copied for ev in pair_events(pop, Mode.HIERARCHY, params, rng))
 
     def test_hierarchy_learner_is_lower_ranked(self):
         rng = np.random.default_rng(8)
         pop = make_population(rng, K=10, p_unknown=0.0)
-        params = KernelParams(p_copy=1.0)
+        params = rates(p_copy=1.0)
         ranks = pop.ranks
         for _ in range(200):
             for ev in pair_events(pop, Mode.HIERARCHY, params, rng):
@@ -196,7 +145,7 @@ class TestPairStep:
         # an unordered pair is first with probability 1/2
         rng = np.random.default_rng(9)
         pop = make_population(rng, K=2, p_unknown=0.0)
-        params = KernelParams(p_copy=1.0)
+        params = rates(p_copy=1.0)
         n = 0
         learner_zero = 0
         for _ in range(5_000):
@@ -215,7 +164,7 @@ class TestLeaderStep:
         rng = np.random.default_rng(10)
         pop = make_population(rng, K=5, ranks=[0.1, 0.2, 0.3, 0.4, 0.5])
         r_before = rng.bit_generator.state
-        assert leader_step(pop, KernelParams(p_copy=1.0, leader_pupils=3), rng) == 0
+        assert leader_step(pop, rates(p_copy=1.0, leader_pupils=3), rng) == 0
         assert rng.bit_generator.state == r_before
 
     def test_single_leader_teaches_everyone(self):
@@ -223,7 +172,7 @@ class TestLeaderStep:
         K = 8
         pop = make_population(rng, K=K, p_unknown=0.0,
                               ranks=[1.0] + [0.1] * (K - 1))
-        params = KernelParams(p_copy=1.0, leader_pupils=K - 1)
+        params = rates(p_copy=1.0, leader_pupils=K - 1)
         for _ in range(50):
             assert leader_step(pop, params, rng) == K - 1
 
@@ -232,7 +181,7 @@ class TestLeaderStep:
         K = 10
         pop = make_population(rng, K=K, p_unknown=0.0,
                               ranks=[1.0, 1.0] + [0.3] * (K - 2))
-        params = KernelParams(p_copy=1.0, leader_pupils=4)
+        params = rates(p_copy=1.0, leader_pupils=4)
         before = pop.wish_matrix[list(pop.leader_ids)].copy()
         for _ in range(1000):
             leader_step(pop, params, rng)
@@ -242,8 +191,10 @@ class TestLeaderStep:
     def test_pupils_exceeding_non_leaders_rejected(self):
         rng = np.random.default_rng(13)
         pop = make_population(rng, K=4, ranks=[1.0, 1.0, 0.1, 0.2])
-        with pytest.raises(ConfigurationError):
-            leader_step(pop, KernelParams(p_copy=1.0, leader_pupils=3), rng)
+        # a valid config, built before the check: only leader_step's own bound can raise
+        params = rates(p_copy=1.0, leader_pupils=3)
+        with pytest.raises(ConfigurationError, match="non-leaders"):
+            leader_step(pop, params, rng)
 
     def test_pupils_are_distinct_non_leaders(self):
         rng = np.random.default_rng(14)
@@ -252,7 +203,7 @@ class TestLeaderStep:
                               ranks=[1.0] + [0.2] * (K - 1))
         # give the leader a recognisable wish so every copy is traceable
         pop.wish_matrix[0] = 0.42
-        params = KernelParams(p_copy=1.0, leader_pupils=2)
+        params = rates(p_copy=1.0, leader_pupils=2)
         leader_step(pop, params, rng)
         # exactly two customers gained a 0.42 slot; the leader is untouched
         touched = [
@@ -291,10 +242,10 @@ class TestShopStep:
         rng = np.random.default_rng(15)
         pop = make_population(rng)
         state = rng.bit_generator.state
-        assert shop_step(pop, KernelParams(p_copy=1.0, shop_teach_rate=0.0), rng) == 0
+        assert shop_step(pop, rates(p_copy=1.0, shop_teach_rate=0.0), rng) == 0
         assert rng.bit_generator.state == state
         # a rate that rounds to no events per brand draws nothing either
-        assert shop_step(pop, KernelParams(p_copy=1.0, shop_teach_rate=0.4), rng) == 0
+        assert shop_step(pop, rates(p_copy=1.0, shop_teach_rate=0.4), rng) == 0
         assert rng.bit_generator.state == state
 
     def test_forced_counts_per_brand(self):
@@ -303,7 +254,7 @@ class TestShopStep:
         wish = 1.0 - rng.random((5, 4))
         assort = 1.0 - rng.random((2, 4))
         pop = Population(schema, wish, rng.random(5), assort, (2, 3))
-        params = KernelParams(p_copy=1.0, shop_teach_rate=1.0)
+        params = rates(p_copy=1.0, shop_teach_rate=1.0)
         assert shop_step(pop, params, rng) == 5
 
     def test_single_brand_absorbs_with_only_shop_channel(self):
@@ -315,7 +266,7 @@ class TestShopStep:
         wish = 1.0 - rng.random((K, S))
         assort = 1.0 - rng.random((1, S))
         pop = Population(schema, wish, rng.random(K), assort, (2,))
-        params = KernelParams(p_copy=1.0, shop_teach_rate=2.0)
+        params = rates(p_copy=1.0, shop_teach_rate=2.0)
         for _ in range(5000):
             shop_step(pop, params, rng)
             if np.all(pop.wish_matrix == assort[0]):
@@ -328,7 +279,7 @@ class TestSweep:
         rng = np.random.default_rng(18)
         pop = make_population(rng, K=8)
         before = pop.wish_matrix.copy()
-        params = KernelParams(p_copy=0.0, leader_pupils=0, shop_teach_rate=0.0)
+        params = rates(p_copy=0.0, leader_pupils=0, shop_teach_rate=0.0)
         sweep(pop, Mode.EQUALITY, params, rng)
         assert np.array_equal(pop.wish_matrix, before)
         assert pop.t == 1
@@ -336,7 +287,7 @@ class TestSweep:
     def test_t_increments_by_one(self):
         rng = np.random.default_rng(19)
         pop = make_population(rng)
-        params = KernelParams(p_copy=0.5)
+        params = rates(p_copy=0.5)
         for expected in range(1, 6):
             sweep(pop, Mode.EQUALITY, params, rng)
             assert pop.t == expected
@@ -345,7 +296,7 @@ class TestSweep:
         rng = np.random.default_rng(20)
         pop = make_population(rng, K=7)
         log = []
-        sweep(pop, Mode.HIERARCHY, KernelParams(p_copy=0.5), rng, event_log=log)
+        sweep(pop, Mode.HIERARCHY, rates(p_copy=0.5), rng, event_log=log)
         assert len(log) == 7
 
     def test_draw_budget_matches_documented_order(self):
@@ -354,7 +305,7 @@ class TestSweep:
         K, pupils, rate = 9, 4, 1.5
         pop = make_population(rng, K=K, N=2, ranks=[1.0] + [0.5] * (K - 1),
                               shop_counts=(2, 1))
-        params = KernelParams(p_copy=0.5, leader_pupils=pupils, shop_teach_rate=rate)
+        params = rates(p_copy=0.5, leader_pupils=pupils, shop_teach_rate=rate)
         seed_state = rng.bit_generator.state
         sweep(pop, Mode.HIERARCHY, params, rng)
         expected = 5 * K + (pupils + 3 * pupils) + 4 * (
@@ -370,7 +321,7 @@ class TestSweep:
         for _ in range(2):
             rng = np.random.default_rng(23)
             pop = make_population(np.random.default_rng(77), K=10)
-            params = KernelParams(p_copy=0.6, shop_teach_rate=0.5)
+            params = rates(p_copy=0.6, shop_teach_rate=0.5)
             for _ in range(20):
                 sweep(pop, Mode.EQUALITY, params, rng)
             out.append(pop.wish_matrix.copy())
@@ -382,7 +333,7 @@ class TestSweep:
         pop = make_population(rng, K=8, N=2, p_unknown=0.3)
         initial = set(pop.wish_matrix.ravel().tolist())
         initial |= set(pop.assortment_matrix.ravel().tolist())
-        params = KernelParams(p_copy=0.8, shop_teach_rate=1.0)
+        params = rates(p_copy=0.8, shop_teach_rate=1.0)
         for _ in range(200):
             sweep(pop, Mode.EQUALITY, params, rng)
         final = set(pop.wish_matrix.ravel().tolist())
@@ -394,7 +345,7 @@ class TestSweep:
         # at K=2 every event pairs customers 0 and 1, so each copy, and the
         # whole sweep, can only bring them closer
         rng = np.random.default_rng(25)
-        params = KernelParams(p_copy=1.0)
+        params = rates(p_copy=1.0)
         for _ in range(300):
             pop = make_population(rng, K=2, p_unknown=0.2)
             d_before = distance(*pop.wish_matrix)
@@ -532,7 +483,7 @@ def kernel_cases(draw):
         coarse_ranks=draw(st.booleans()),
         p_unknown=draw(st.sampled_from([0.0, 0.9])),
         shop_counts=tuple(draw(st.lists(st.integers(1, 5), min_size=N, max_size=N))),
-        params=KernelParams(
+        params=rates(
             p_copy=draw(st.floats(0.0, 1.0)),
             leader_pupils=pupils,
             shop_teach_rate=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])),
@@ -581,7 +532,7 @@ def batch_cases(draw):
         coarse_ranks=draw(st.booleans()),
         p_unknown=draw(st.sampled_from([0.0, 0.9])),
         shop_counts=shop_counts,
-        params=KernelParams(
+        params=rates(
             p_copy=1.0,
             leader_pupils=draw(st.integers(-(-_MIN_BATCH // n_leaders), K - n_leaders)),
             # per-brand rounding loses at most N/2 events

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from brandsim import (
     ConfigurationError,
-    KernelParams,
     Mode,
     NeedSchema,
     Population,
@@ -23,7 +22,7 @@ from brandsim import (
     sweep,
 )
 from brandsim.metrics import _surely_dispersed
-from populations import make_population
+from populations import make_population, rates
 
 
 def naive_fluctuation(pop):
@@ -84,7 +83,7 @@ class TestFluctuation:
     def test_constant_under_frozen_dynamics(self):
         rng = np.random.default_rng(12)
         pop = make_population(rng, K=6)
-        params = KernelParams(p_copy=0.0)
+        params = rates(p_copy=0.0)
         f0 = fluctuation(pop)
         for _ in range(100):
             sweep(pop, Mode.EQUALITY, params, rng)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,6 @@ from scipy.spatial.distance import cdist
 import brandsim
 from brandsim import (
     ConfigurationError,
-    KernelParams,
     NeedSchema,
     Population,
     SimConfig,
@@ -21,7 +21,6 @@ from brandsim import (
     distance,
     index_from_uniform,
     init_population,
-    init_schema,
     refresh_affiliations,
     sweep,
 )
@@ -143,6 +142,8 @@ class TestDistance:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             distance(np.zeros(2), np.zeros(3))
+        with pytest.raises(ConfigurationError, match="at least one slot"):
+            distance([], [])
 
     def test_accepts_raw_arrays(self):
         assert distance(np.array([0.5, 0.5]), np.array([0.5, 0.1])) == pytest.approx(
@@ -375,35 +376,19 @@ class TestNearestBrand:
                 assert own <= distance(wish, assort)
 
 
-class TestInitSchema:
-    def test_rejects_nonpositive(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigurationError):
-            init_schema(0, rng)
-
-    @pytest.mark.parametrize("num_needs", [2.5, True, "3", None])
-    def test_rejects_non_integer_count(self, num_needs):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigurationError, match="M must be an integer"):
-            init_schema(num_needs, rng)
-
-    def test_counts_in_range(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            s = init_schema(40, rng)
-            assert all(1 <= j <= 5 for j in s.jmax)
-
-    def test_deterministic(self):
-        a = init_schema(25, np.random.default_rng(77))
-        b = init_schema(25, np.random.default_rng(77))
-        assert a == b
-
-
 class TestInitPopulation:
     def cfg(self, **kw):
         base = dict(N=3, K=50, M=4, mode=Mode.EQUALITY, seed=11)
         base.update(kw)
         return SimConfig(**base)
+
+    def test_schema_counts_replay_the_first_m_uniforms(self):
+        # need i carries 1 + min(floor(5 u_i), 4) subentries, from the stream's first M draws
+        cfg = self.cfg(M=40)
+        for seed in range(20):
+            pop = init_population(cfg, np.random.default_rng(seed))
+            u = np.random.default_rng(seed).random(cfg.M).tolist()
+            assert pop.schema.jmax == tuple(1 + min(math.floor(5 * x), 4) for x in u)
 
     def test_no_leaders_means_no_unit_rank(self):
         pop = init_population(self.cfg(leader_count=0), np.random.default_rng(0))
@@ -423,9 +408,8 @@ class TestInitPopulation:
         rng = np.random.default_rng(42)
         pop = init_population(cfg, rng)
         rng2 = np.random.default_rng(42)
-        schema = init_schema(cfg.M, rng2)
-        S = schema.total_slots
-        rng2.random((cfg.N, S))
+        S = pop.schema.total_slots
+        rng2.random(cfg.M + cfg.N * S)
         rng2.random((cfg.K, S))
         rng2.random((cfg.K, S))
         drawn = rng2.random(cfg.K)
@@ -476,10 +460,10 @@ class TestInitPopulation:
     def test_draw_bytes_replay_from_a_twin_stream(self, p_unknown):
         # bytes, not values: an unknown slot must be +0.0, and array_equal takes -0.0 too
         cfg = self.cfg(K=200, p_unknown=p_unknown)
-        wish = init_population(cfg, np.random.default_rng(9)).wish_matrix
+        pop = init_population(cfg, np.random.default_rng(9))
+        wish, S = pop.wish_matrix, pop.schema.total_slots
         twin = np.random.default_rng(9)
-        S = init_schema(cfg.M, twin).total_slots
-        twin.random((cfg.N, S))
+        twin.random(cfg.M + cfg.N * S)
         values, coins = twin.random((cfg.K, S)), twin.random((cfg.K, S))
         assert wish.tobytes() == np.where(coins < p_unknown, 0.0, 1.0 - values).tobytes()
         assert not np.signbit(wish).any()
@@ -494,14 +478,13 @@ class TestLazyAffiliations:
     CFG = SimConfig(N=3, K=40, M=4, mode=Mode.HIERARCHY, seed=31, p_copy=0.8,
                     leader_count=2, leader_pupils=6, shop_counts=(1, 2, 3),
                     shop_teach_rate=1.0)
-    PARAMS = KernelParams(p_copy=0.8, leader_pupils=6, shop_teach_rate=1.0)
 
     def start(self):
         rng = np.random.default_rng(self.CFG.seed)
         return init_population(self.CFG, rng), rng
 
     def advance(self, pop, rng):
-        sweep(pop, self.CFG.mode, self.PARAMS, rng)
+        sweep(pop, self.CFG.mode, self.CFG, rng)
 
     def test_reading_every_sweep_matches_reading_at_the_end(self):
         eager, rng = self.start()
