@@ -1,5 +1,7 @@
 """The random population and the kernel config that the unit tests build."""
 
+import numbers
+
 from brandsim import Mode, NeedSchema, Population, SimConfig
 
 
@@ -19,6 +21,8 @@ def make_population(rng, K=6, N=2, jmax=(2, 3), p_unknown=0.2, ranks=None, shop_
 
 def rates(p_copy=1.0, leader_pupils=0, shop_teach_rate=0.0):
     """A config for the kernels, which read only these three rates; the rest is the
-    smallest valid run whose K admits ``leader_pupils`` pupils."""
-    return SimConfig(N=1, K=max(2, leader_pupils + 1), M=1, mode=Mode.EQUALITY, seed=0,
+    smallest valid run whose K admits ``leader_pupils`` pupils (K = 2 when that is
+    no integer, which SimConfig rejects before it reads K)."""
+    pupils = leader_pupils if isinstance(leader_pupils, numbers.Integral) else 0
+    return SimConfig(N=1, K=max(2, pupils + 1), M=1, mode=Mode.EQUALITY, seed=0,
                      p_copy=p_copy, leader_pupils=leader_pupils, shop_teach_rate=shop_teach_rate)

@@ -11,6 +11,7 @@ from brandsim import (
     Mode,
     NeedSchema,
     Population,
+    SimConfig,
     distance,
     leader_step,
     shop_event_count,
@@ -27,6 +28,60 @@ def pair_events(pop, mode, params, rng):
     sweep(pop, mode, params, rng, event_log=log)
     assert len(log) == pop.num_customers
     return log
+
+
+class TestKernelParams:
+    """The three rates every kernel reads, as SimConfig coerces and checks them."""
+
+    def test_rejects_bad_p_copy(self):
+        with pytest.raises(ConfigurationError):
+            rates(p_copy=1.5)
+        with pytest.raises(ConfigurationError):
+            rates(p_copy=-0.1)
+
+    def test_rejects_negative_rates(self):
+        with pytest.raises(ConfigurationError):
+            rates(p_copy=0.5, leader_pupils=-1)
+        with pytest.raises(ConfigurationError):
+            rates(p_copy=0.5, shop_teach_rate=-0.5)
+
+    def test_rejects_non_finite_shop_rate(self):
+        for rate in (float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError) as exc:
+                rates(p_copy=0.5, shop_teach_rate=rate)
+            assert "shop_teach_rate" in str(exc.value)
+
+    @pytest.mark.parametrize("pupils", [2.5, True, "3", None])
+    def test_rejects_non_integer_pupils(self, pupils):
+        with pytest.raises(ConfigurationError) as exc:
+            rates(p_copy=0.5, leader_pupils=pupils)
+        assert "leader_pupils" in str(exc.value)
+
+    def test_accepts_numpy_integer_pupils(self):
+        params = rates(p_copy=0.5, leader_pupils=np.int64(3))
+        assert params.leader_pupils == 3 and type(params.leader_pupils) is int
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("p_copy", "0.5"), ("p_copy", None), ("p_copy", True), ("shop_teach_rate", "1")],
+    )
+    def test_rejects_non_numeric_rates(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            rates(**{"p_copy": 0.5, field: value})
+
+    def test_accepts_numpy_float_rates(self):
+        params = rates(p_copy=np.float64(0.5), shop_teach_rate=np.float64(2.0))
+        assert params == rates(p_copy=0.5, shop_teach_rate=2.0)
+        assert type(params.p_copy) is float and type(params.shop_teach_rate) is float
+
+    def test_defaults(self):
+        cfg = SimConfig(N=1, K=2, M=1, mode=Mode.EQUALITY, seed=0)
+        assert (cfg.p_copy, cfg.leader_pupils, cfg.shop_teach_rate) == (1.0, 0, 0.0)
+        assert rates() == cfg
+
+    def test_coerces_every_rate_before_range_checks(self):
+        with pytest.raises(ConfigurationError, match="leader_pupils"):
+            rates(p_copy=1.5, leader_pupils="x")
 
 
 class TestSlotCopy:

@@ -376,19 +376,42 @@ class TestNearestBrand:
                 assert own <= distance(wish, assort)
 
 
+class TestInitSchema:
+    """The need schema, which init_population draws first from the stream."""
+
+    @staticmethod
+    def cfg(M):
+        return SimConfig(N=2, K=10, M=M, mode=Mode.EQUALITY, seed=0)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ConfigurationError):
+            self.cfg(0)
+
+    @pytest.mark.parametrize("num_needs", [2.5, True, "3", None])
+    def test_rejects_non_integer_count(self, num_needs):
+        with pytest.raises(ConfigurationError, match="M must be an integer"):
+            self.cfg(num_needs)
+
+    def test_counts_in_range(self):
+        # need i carries 1 + min(floor(5 u_i), 4) subentries, from the stream's first M draws
+        cfg = self.cfg(40)
+        for seed in range(20):
+            pop = init_population(cfg, np.random.default_rng(seed))
+            u = np.random.default_rng(seed).random(cfg.M).tolist()
+            assert pop.schema.jmax == tuple(1 + min(math.floor(5 * x), 4) for x in u)
+            assert all(1 <= j <= 5 for j in pop.schema.jmax)
+
+    def test_deterministic(self):
+        a = init_population(self.cfg(25), np.random.default_rng(77)).schema
+        b = init_population(self.cfg(25), np.random.default_rng(77)).schema
+        assert a == b
+
+
 class TestInitPopulation:
     def cfg(self, **kw):
         base = dict(N=3, K=50, M=4, mode=Mode.EQUALITY, seed=11)
         base.update(kw)
         return SimConfig(**base)
-
-    def test_schema_counts_replay_the_first_m_uniforms(self):
-        # need i carries 1 + min(floor(5 u_i), 4) subentries, from the stream's first M draws
-        cfg = self.cfg(M=40)
-        for seed in range(20):
-            pop = init_population(cfg, np.random.default_rng(seed))
-            u = np.random.default_rng(seed).random(cfg.M).tolist()
-            assert pop.schema.jmax == tuple(1 + min(math.floor(5 * x), 4) for x in u)
 
     def test_no_leaders_means_no_unit_rank(self):
         pop = init_population(self.cfg(leader_count=0), np.random.default_rng(0))
