@@ -66,6 +66,15 @@ class BrandProfile:
     shop_count: int
 
 
+def _floats(name: str, value) -> np.ndarray:
+    """``value`` as a contiguous float64 array; a value numpy cannot read as one is a
+    :class:`ConfigurationError` that names the argument."""
+    try:
+        return np.ascontiguousarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be an array of numbers: {exc}") from None
+
+
 class Population:
     """Every customer and brand under one schema, plus the sweep counter.
 
@@ -89,9 +98,9 @@ class Population:
         assortment_matrix,
         shop_counts: Sequence[int],
     ):
-        wish = np.ascontiguousarray(wish_matrix, dtype=np.float64)
-        assort = np.ascontiguousarray(assortment_matrix, dtype=np.float64)
-        rank_arr = np.ascontiguousarray(ranks, dtype=np.float64)
+        wish = _floats("wish_matrix", wish_matrix)
+        assort = _floats("assortment_matrix", assortment_matrix)
+        rank_arr = _floats("ranks", ranks)
 
         S = schema.total_slots
         if wish.ndim != 2 or wish.shape[1] != S:
@@ -159,8 +168,8 @@ def distance(wish, assortment) -> float:
     :func:`_sq_distances` sum over the slot count.  Unknown entries count as
     literal zeros.  Symmetric, and exactly zero iff the profiles are identical.
     Each profile needs at least one slot."""
-    x = np.asarray(wish, dtype=np.float64)
-    y = np.asarray(assortment, dtype=np.float64)
+    x = _floats("wish", wish)
+    y = _floats("assortment", assortment)
     if x.shape != y.shape:
         raise ConfigurationError(f"profile shapes differ: {x.shape} vs {y.shape}")
     if x.size == 0:

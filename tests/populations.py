@@ -1,6 +1,9 @@
-"""The random population and the kernel config that the unit tests build."""
+"""The random population, the kernel config and the distance oracle that the unit
+tests build on."""
 
 import numbers
+
+import numpy as np
 
 from brandsim import Mode, NeedSchema, Population, SimConfig
 
@@ -26,3 +29,15 @@ def rates(p_copy=1.0, leader_pupils=0, shop_teach_rate=0.0):
     pupils = leader_pupils if isinstance(leader_pupils, numbers.Integral) else 0
     return SimConfig(N=1, K=max(2, pupils + 1), M=1, mode=Mode.EQUALITY, seed=0,
                      p_copy=p_copy, leader_pupils=leader_pupils, shop_teach_rate=shop_teach_rate)
+
+
+def cdist_sqeuclidean(wish, assortment):
+    """``sum_s (wish[k, s] - assortment[b, s])**2`` for every row k and brand b, as
+    scipy's ``cdist(wish, assortment, "sqeuclidean")`` gives it: added slot by slot,
+    in order, by elementwise operations alone, so no numpy reduction chooses the
+    order.  It shares no code with the package's own sum."""
+    total = np.zeros((len(wish), len(assortment)))
+    for s in range(wish.shape[1]):
+        d = wish[:, None, s] - assortment[None, :, s]
+        total += d * d
+    return total

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
 from brandsim import (
     ConfigurationError,
@@ -19,7 +18,7 @@ from brandsim import (
     sweep,
 )
 from brandsim.dynamics import _MIN_BATCH, _apply_copies, _draw_pupils
-from populations import make_population, rates
+from populations import cdist_sqeuclidean, make_population, rates
 
 
 def pair_events(pop, mode, params, rng):
@@ -502,7 +501,7 @@ def ref_sweep(pop, mode, params, rng):
     pair_copies = ref_pair_events(pop, mode, params, rng.random((pop.num_customers, 5)))
     ref_leader_step(pop, params, rng)
     ref_shop_step(pop, params, rng)
-    pop.affiliations[:] = cdist(pop.wish_matrix, pop.assortment_matrix, "sqeuclidean").argmin(1)
+    pop.affiliations[:] = cdist_sqeuclidean(pop.wish_matrix, pop.assortment_matrix).argmin(1)
     pop.t += 1
     return pair_copies
 

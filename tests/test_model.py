@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
 import brandsim
 from brandsim import (
@@ -26,17 +25,13 @@ from brandsim import (
 )
 from brandsim.dynamics import _draw_pupils
 from brandsim.model import _block_rows, _nearest_brand
-from populations import make_population
+from populations import cdist_sqeuclidean, make_population
 
 
 def nearest_by_scan(pop):
-    """Each customer's nearest brand by an exhaustive scan of scipy's
-    ``cdist`` distances, ties to the smallest index."""
-    out = []
-    for wish in pop.wish_matrix:
-        dists = cdist(wish[None], pop.assortment_matrix, "sqeuclidean")[0].tolist()
-        out.append(min(range(len(dists)), key=lambda b: (dists[b], b)))
-    return out
+    """Each customer's nearest brand by an exhaustive scan of the oracle's distances;
+    ``argmin`` takes the first of a tie, which is the smallest index."""
+    return cdist_sqeuclidean(pop.wish_matrix, pop.assortment_matrix).argmin(axis=1).tolist()
 
 
 def test_public_names_resolve():
@@ -316,9 +311,9 @@ class TestNearestBrand:
     @settings(max_examples=400, deadline=None)
     @given(nearest_cases())
     def test_matches_cdist_bit_for_bit(self, case):
-        # scipy is the independent oracle: its sequential sum is the exact rule
+        # the oracle's slot-order sum is the exact rule
         wish, assort = case
-        exact = cdist(wish, assort, "sqeuclidean")
+        exact = cdist_sqeuclidean(wish, assort)
         assert _nearest_brand(wish, assort).tolist() == exact.argmin(axis=1).tolist()
         S = wish.shape[1]
         for k, w in enumerate(wish):
@@ -329,14 +324,14 @@ class TestNearestBrand:
     @pytest.mark.parametrize("S", [1, 30])
     def test_matches_cdist_across_block_edges(self, S, shift):
         wish, assort = block_edge_case(S, shift)
-        exact = cdist(wish, assort, "sqeuclidean").argmin(axis=1)
+        exact = cdist_sqeuclidean(wish, assort).argmin(axis=1)
         assert _nearest_brand(wish, assort).tolist() == exact.tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(multi_block_cases())
     def test_matches_cdist_over_several_blocks(self, case):
         wish, assort, last = case
-        exact = cdist(wish, assort, "sqeuclidean").argmin(axis=1)
+        exact = cdist_sqeuclidean(wish, assort).argmin(axis=1)
         assert (exact[last] == len(assort) - 1).all()
         assert _nearest_brand(wish, assort).tolist() == exact.tolist()
 
@@ -363,7 +358,7 @@ class TestNearestBrand:
             wish = rng.random((500, S))
             wish[::7] = assort[rng.integers(0, 4)]
             wish[1::7] = (assort[0] + assort[1]) / 2
-            exact = cdist(wish, assort, "sqeuclidean").argmin(axis=1)
+            exact = cdist_sqeuclidean(wish, assort).argmin(axis=1)
             assert _nearest_brand(wish, assort).tolist() == exact.tolist()
 
     def test_affiliation_minimises_distance_after_refresh(self):
@@ -602,9 +597,16 @@ class TestPopulation:
         lambda tiny: TimeSeriesRecord(t=0, fluctuation=np.nan, shares=(1.0,)),
         lambda tiny: TimeSeriesRecord(t=0, fluctuation=0.1, shares=(0.5, 0.4)),
         lambda tiny: TimeSeriesRecord(t=0, fluctuation=0.1, shares=(1.5, -0.5)),
+        # arguments that numpy cannot read as float64 arrays
+        lambda tiny: tiny(wish=(("x",), ("y",))),
+        lambda tiny: tiny(wish=((0.5,), (0.6, 0.7))),
+        lambda tiny: tiny(ranks=("a", "b")),
+        lambda tiny: tiny(assort=object()),
+        lambda tiny: distance(["x"], [0.5]),
     ], ids=["wish_shape", "assortment_shape", "ranks_shape", "wish_above_one", "wish_nan",
             "assortment_unknown", "rank_nan", "distance_shapes", "fluctuation_nan",
-            "shares_sum", "share_range"])
+            "shares_sum", "share_range", "wish_text", "wish_ragged", "rank_text",
+            "assortment_object", "distance_text"])
     def test_every_input_check_raises_configuration_error(self, make):
         self.tiny()  # the defaults are valid
         with pytest.raises(ConfigurationError):

@@ -12,10 +12,22 @@ top rank never learn: a pair copies only from the higher ranked, and leaders
 teach only non-leaders.  So the one state every row can end in is a top-ranked
 customer's initial profile.  Its seeds, sizes and run counts were set before
 the first run too.
+
+In equality mode with shops, each slot column is a voter model with zealots
+(Mobilia, PRL 91, 028701 (2003)): brand b's assortment value never changes,
+and b teaches ``round(rate * shop_count_b)`` customers per sweep.  A pair event
+picks a uniform ordered pair, so it moves no value's expected count; a brand's
+event maps the expected count of its own value m to m(1 - r/K) + r and every
+other brand's to m(1 - r/K), where r is the chance that the event copies into
+that column.  The brands act in id order, so the mean shares at sweep ends are
+the fixed point of those maps composed in that order, and from a known start
+sweep t's mean shares are that composition's t-th power applied to it.  The
+seeds, run lengths and bound were set before the first run, the run lengths
+from the spread of a run on another seed.
 """
 
 import numpy as np
-from scipy.stats import chi2
+import pytest
 
 from brandsim import Mode, NeedSchema, Population, SimConfig, init_population, sweep
 from populations import rates
@@ -23,11 +35,21 @@ from populations import rates
 K = 10
 RUNS = 4000
 SEED = 591
-#: a chi-square of the K winner counts exceeds this with probability 1e-6 under the law
-CHI2_BOUND = chi2.isf(1e-6, K - 1)
+#: a chi-square of the K winner counts exceeds this with probability 1e-6 under the law:
+#: ``scipy.stats.chi2.isf(1e-6, K - 1)``, written out so the tests need no scipy
+CHI2_BOUND = 44.81093787068782
 #: runs per hierarchy case, and the sweeps any of them may take to reach consensus
 HIERARCHY_RUNS = 20
 MAX_SWEEPS = 20_000
+#: sweeps dropped before the shop shares are read, then batches of sweeps whose mean
+#: shares are taken as independent, and the bound on each share's t statistic over them
+BURN_IN = 100
+BATCHES = 25
+BATCH_SWEEPS = 500
+T_BOUND = 5.0
+#: independent runs from the start, and the sweeps of each whose shares are read
+FIRST_RUNS = 2000
+FIRST_SWEEPS = 2
 
 
 def fixation_winner(rng):
@@ -77,3 +99,93 @@ def test_aligned_leaders_fix_their_brand():
         pop = init_population(cfg, rng)
         assortment = pop.assortment_matrix[brand]
         assert consensus_row(pop, cfg, rng).tobytes() == assortment.tobytes()
+
+
+def shop_map(K, events, r):
+    """What one sweep's shop events make of the expected counts m of the brands' values,
+    as the affine map on (m, 1), in a column where an event copies with probability
+    ``r``: brand b makes ``events[b]`` events, and the brands act in id order."""
+    N = len(events)
+    composed = np.eye(N + 1)
+    for b, count in enumerate(events):
+        event = np.diag([1 - r / K] * N + [1.0])
+        event[b, N] = r
+        composed = np.linalg.matrix_power(event, count) @ composed
+    return composed
+
+
+def slot_rates(jmax):
+    """The chance that an event copies into each slot at ``p_copy = 1``: it picks a
+    need, then one of its slots, so slot s of need i with 1 / (M jmax[i])."""
+    return np.concatenate([np.full(j, 1 / (len(jmax) * j)) for j in jmax])
+
+
+def shop_population(K, jmax, shop_counts):
+    """Every customer starts at 1.0, which no brand offers; brand b offers (b + 1) / 8."""
+    N, S = len(shop_counts), sum(jmax)
+    assortment = np.repeat(np.arange(1, N + 1)[:, None] / 8, S, axis=1)
+    return Population(NeedSchema(jmax), np.ones((K, S)), np.zeros(K), assortment, shop_counts)
+
+
+def holders(pop, values):
+    """Per row of ``values`` and per slot, how many customers hold that value there."""
+    return (pop.wish_matrix == values[:, None, :]).sum(axis=1)
+
+
+def t_statistics(samples, exact):
+    """Each cell's mean over independent samples against its exact value, in standard errors."""
+    se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+    return (samples.mean(axis=0) - exact) / se
+
+
+@pytest.mark.parametrize("K, jmax, shop_counts, rate, events, seed", [
+    (20, (1,), (1, 3), 1.0, (1, 3), SEED + 2),
+    # round(1.5) = round(2.5) = 2: Python rounds half to even
+    (3, (1, 2), (3, 5), 0.5, (2, 2), SEED + 3),
+], ids=["one_slot_k20", "two_slots_k3"])
+def test_shop_shares_follow_the_zealot_law(K, jmax, shop_counts, rate, events, seed):
+    # the mean shares at sweep ends are the fixed point of the sweep's map
+    N = len(events)
+    exact = []
+    for r in slot_rates(jmax):
+        composed = shop_map(K, events, r)
+        exact.append(np.linalg.solve(np.eye(N) - composed[:N, :N], composed[:N, N]) / K)
+    exact = np.stack(exact, axis=1)
+    pop = shop_population(K, jmax, shop_counts)
+    params = rates(p_copy=1.0, shop_teach_rate=rate)
+    rng = np.random.default_rng(seed)
+    for _ in range(BURN_IN):
+        sweep(pop, Mode.EQUALITY, params, rng)
+    held = np.zeros((BATCHES,) + exact.shape)
+    for batch in held:
+        for _ in range(BATCH_SWEEPS):
+            sweep(pop, Mode.EQUALITY, params, rng)
+            batch += holders(pop, pop.assortment_matrix)
+    shares = held / (BATCH_SWEEPS * K)
+    t = t_statistics(shares, exact)
+    assert (np.abs(t) < T_BOUND).all(), (t.tolist(), shares.mean(axis=0).tolist())
+
+
+def test_first_sweeps_follow_the_zealot_maps():
+    # from the start, sweep t's mean shares are the map's t-th power applied to no
+    # holders; the start value holds the rest.  Its share falls by a power of 1 - r/K,
+    # so a wrong slot rate r shows most in it.
+    K, jmax, shop_counts, events = 3, (1, 2), (3, 5), (2, 2)
+    N, S = len(events), sum(jmax)
+    exact = np.zeros((FIRST_SWEEPS, N + 1, S))
+    for s, r in enumerate(slot_rates(jmax)):
+        composed = shop_map(K, events, r)
+        for t in range(FIRST_SWEEPS):
+            exact[t, :N, s] = np.linalg.matrix_power(composed, t + 1)[:N, N] / K
+    exact[:, N] = 1.0 - exact[:, :N].sum(axis=1)
+    params = rates(p_copy=1.0, shop_teach_rate=0.5)
+    rng = np.random.default_rng(SEED + 4)
+    held = np.zeros((FIRST_RUNS,) + exact.shape)
+    for run in held:
+        pop = shop_population(K, jmax, shop_counts)
+        values = np.vstack([pop.assortment_matrix, np.ones(S)])
+        for t in range(FIRST_SWEEPS):
+            sweep(pop, Mode.EQUALITY, params, rng)
+            run[t] = holders(pop, values)
+    t = t_statistics(held / K, exact)
+    assert (np.abs(t) < T_BOUND).all(), (t.tolist(), (held / K).mean(axis=0).tolist())
