@@ -147,6 +147,14 @@ def _kept_pool(workers: int) -> Executor:
     return pool
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, so a
+    ``taskset`` or cpuset limit counts, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
     """Aggregate ``runs`` independent simulations.
 
@@ -164,7 +172,7 @@ def ensemble(cfg: SimConfig, runs: int, parallel: int = 1) -> EnsembleSummary:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
     children = (dataclasses.replace(cfg, seed=derive_child_seed(cfg.seed, i)) for i in range(runs))
     # a pool may start all its workers at once, so ask for no more than can be busy
-    workers = min(parallel, runs, os.cpu_count() or 1)
+    workers = min(parallel, runs, _usable_cpus())
     converged = sweeps = 0
     histogram = [0] * cfg.N
     # four runs in flight per worker keep each busy while results are taken in order

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from brandsim import (
     shop_step,
     sweep,
 )
-from brandsim.dynamics import _MIN_BATCH, _apply_copies, _draw_pupils
+from brandsim.dynamics import _AHEAD, _MIN_BATCH, _apply_copies, _draw_pupils
 from populations import cdist_sqeuclidean, make_population, rates
 
 
@@ -652,3 +653,82 @@ class TestBatchedApplier:
             shop_event_count(params.shop_teach_rate, c) for c in case["shop_counts"]
         ) >= _MIN_BATCH
         assert_sweeps_match_reference(case)
+
+
+def stream_state(rng):
+    """The generator's state as text, so that an MT19937 key array compares too."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+class TestDrawAhead:
+    """A pair-only sweep on a PCG64 stream takes its pair events from a block drawn
+    for several sweeps and advances the generator by its own 5K uniforms; after
+    every sweep the wishes and the generator state must be those of the scalar
+    reference, which draws sweep by sweep."""
+
+    K = 50
+    PARAMS = rates(p_copy=0.7)
+    BLOCK = _AHEAD // (5 * K)  # sweeps per block at K=50
+
+    def populations(self, seed):
+        pop = make_population(np.random.default_rng(seed), K=self.K, N=3, jmax=(2, 3, 1))
+        assert not pop.leader_ids
+        return pop, copy.deepcopy(pop)
+
+    def step(self, pop, ref, mode, rng, ref_rng, params=PARAMS):
+        """One sweep of each; both must copy alike and leave the same bytes and state."""
+        log = []
+        sweep(pop, mode, params, rng, event_log=log)
+        assert len(log) == self.K
+        assert sum(e.copied for e in log) == ref_sweep(ref, mode, params, ref_rng)
+        assert pop.wish_matrix.tobytes() == ref.wish_matrix.tobytes()
+        assert stream_state(rng) == stream_state(ref_rng)
+
+    @pytest.mark.parametrize("p_copy", [0.7, 1.0])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_run_across_refills_matches_reference(self, mode, p_copy):
+        pop, ref = self.populations(30)
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        blocks = [None]
+        for _ in range(2 * self.BLOCK + 3):
+            self.step(pop, ref, mode, rng, ref_rng, rates(p_copy=p_copy))
+            if pop._pairs_ahead is not blocks[-1]:
+                blocks.append(pop._pairs_ahead)
+        assert len(blocks) == 4 and None not in blocks[1:]  # two refills after the first
+        assert np.array_equal(pop.affiliations, ref.affiliations)
+
+    def test_draw_between_sweeps_drops_the_block(self):
+        pop, ref = self.populations(32)
+        rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
+        for _ in range(3):
+            self.step(pop, ref, Mode.EQUALITY, rng, ref_rng)
+        block = pop._pairs_ahead
+        assert block is not None and block.taken < block.sweeps
+        assert rng.random() == ref_rng.random()
+        for _ in range(3):
+            self.step(pop, ref, Mode.EQUALITY, rng, ref_rng)
+        assert pop._pairs_ahead is not block
+
+    def test_alternating_generators_match_reference(self):
+        pop, ref = self.populations(34)
+        rngs = [np.random.default_rng(35), np.random.default_rng(36)]
+        ref_rngs = [np.random.default_rng(35), np.random.default_rng(36)]
+        for i in range(8):
+            self.step(pop, ref, Mode.EQUALITY, rngs[i % 2], ref_rngs[i % 2])
+        for rng, ref_rng in zip(rngs, ref_rngs):
+            assert stream_state(rng) == stream_state(ref_rng)
+
+    @pytest.mark.parametrize("stream", ["mt19937", "pcg64_buffered_uint32"])
+    def test_other_streams_draw_sweep_by_sweep(self, stream):
+        pop, ref = self.populations(37)
+        if stream == "mt19937":
+            rng, ref_rng = (np.random.Generator(np.random.MT19937(38)) for _ in range(2))
+        else:
+            rng, ref_rng = np.random.default_rng(38), np.random.default_rng(38)
+            for g in (rng, ref_rng):
+                g.integers(0, 10, dtype=np.int32)  # leaves half of a 64-bit draw buffered
+            assert rng.bit_generator.state["has_uint32"] == 1
+        for _ in range(self.BLOCK + 2):
+            self.step(pop, ref, Mode.EQUALITY, rng, ref_rng)
+        # the buffered value is still there to be drawn, as drawing doubles keeps it
+        assert rng.integers(0, 2**31, dtype=np.int32) == ref_rng.integers(0, 2**31, dtype=np.int32)

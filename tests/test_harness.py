@@ -268,7 +268,7 @@ class TestEnsemble:
 
         monkeypatch.setattr(harness, "_pool", None)  # so the kept pool is this fake
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_run_stats", lambda child: (None, 0))
         c = cfg()
         summary = ensemble(c, 10**4, parallel=2)
@@ -279,8 +279,29 @@ class TestEnsemble:
         assert [child.seed for child in submitted[:3]] == [
             derive_child_seed(c.seed, i) for i in range(3)]
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_are_bounded_by_the_cpus_this_process_may_run_on(self, monkeypatch,
+                                                                     affinity):
+        # one CPU in the affinity mask, else (no mask on this OS) one in the machine
+        class Pool(Executor):
+            def __init__(self, max_workers):
+                raise AssertionError(f"a pool of {max_workers} started on one CPU")
+
+        monkeypatch.setattr(harness, "_pool", None)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        if affinity:
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        ran = []
+        monkeypatch.setattr(harness, "_run_stats", lambda child: ran.append(child) or (None, 0))
+        assert ensemble(cfg(), 6, parallel=8) == EnsembleSummary(6, 0.0, None, (0.0, 0.0))
+        assert len(ran) == 6
+
     def test_pooled_runs_beyond_one_window_match_serial(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         c = cfg(K=8, M=2, max_sweeps=300)
         assert ensemble(c, 20, parallel=2) == ensemble(c, 20)
 
@@ -292,7 +313,7 @@ def worker_pids():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
 
 
 @pytest.fixture
@@ -341,7 +362,7 @@ class TestKeptPool:
 
         monkeypatch.setattr(harness, "_pool", None)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_run_stats", run_stats)
         with pytest.raises(error, match="third run"):
             ensemble(cfg(), 100, parallel=2)
@@ -369,7 +390,7 @@ class TestKeptPool:
 
         monkeypatch.setattr(harness, "_pool", None)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         c = cfg(K=8, M=2, max_sweeps=300)
         serial = ensemble(c, 4)
         assert ensemble(c, 4, parallel=2) == serial
@@ -424,7 +445,7 @@ class TestKeptPool:
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
     def test_no_worker_outlives_the_interpreter(self):
         script = ("import multiprocessing\nimport brandsim\nfrom brandsim import harness\n"
-                  "harness.os.cpu_count = lambda: 2\n"
+                  "harness._usable_cpus = lambda: 2\n"
                   "c = brandsim.SimConfig(N=2, K=8, M=2, mode=brandsim.Mode.EQUALITY, seed=3)\n"
                   "brandsim.ensemble(c, 4, parallel=2)\n"
                   "print(*(p.pid for p in multiprocessing.active_children()))\n")
