@@ -32,17 +32,20 @@ operation:
   an affiliation refresh (no draws) and the time increment.  The refresh
   only marks affiliations stale; the next read recomputes them.
 
-A sweep may draw the pair uniforms of several sweeps at once.  When it draws
-nothing but its own 5K pair uniforms (no leader teaching, no shop event) from
-an ``np.random.PCG64`` stream, the uniforms of the next sweeps' pair events
-follow its own directly, so it draws up to ``_AHEAD`` uniforms in one call,
-rewinds the generator, and moves it on by exactly 5K uniforms
+Every sweep takes its pair events (the two picks, the event's cell in either
+one's row, and the coin) from one block layout, ``_PairsAhead``.  The block
+covers one sweep, drawn where the generator stands, when the sweep draws other
+channels too, when two sweeps need more than ``_AHEAD`` uniforms, or when the
+stream is not an ``np.random.PCG64`` free of a buffered 32-bit value.
+Otherwise the next sweeps' pair uniforms follow the sweep's own directly, so
+it draws up to ``_AHEAD`` uniforms at once, rewinds the generator, and moves it on by exactly 5K uniforms
 (``PCG64.advance``; O'Neill 2014, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms").  Later sweeps take their
-pair events from that block and advance the generator the same way.  So the
-consumption per operation above, and the generator's state after every
-sweep, are those of drawing sweep by sweep.  A block is used only while its
-generator is in the state the last sweep left; any other draw drops it.
+Space-Efficient Statistically Good Algorithms"), as each later sweep that
+takes its pair events from the block does.  So the draws per operation above,
+and the generator's state after every sweep, do not change.  A block is used
+only while its generator is in the state the last sweep left; any other draw
+drops it.  Every channel applies its events through one coin rule,
+``_copy_cells``.
 """
 
 from __future__ import annotations
@@ -155,6 +158,25 @@ def _apply_copies(
     return events if every else np.flatnonzero(val != 0.0)
 
 
+def _copy_cells(
+    dst: np.ndarray, src: np.ndarray, dst_cell: np.ndarray, src_cell: np.ndarray,
+    coin: np.ndarray, p: float | np.ndarray,
+) -> np.ndarray:
+    """Slot-copy events from cell ``src_cell[i]`` of flat ``src`` to ``dst_cell[i]`` of flat ``dst``.
+
+    An event copies only if its coin is below ``p`` (a scalar or one value
+    per event).  The coins do not depend on the state, so only events that
+    pass one reach :func:`_apply_copies`.  Returns the positions of the
+    events that copied.
+    """
+    if isinstance(p, float) and p == 1.0:
+        return _apply_copies(dst, src, dst_cell, src_cell)  # every coin is below 1
+    hit = np.flatnonzero(coin < p)
+    if len(hit) < len(coin):
+        dst_cell, src_cell = dst_cell[hit], src_cell[hit]
+    return hit[_apply_copies(dst, src, dst_cell, src_cell)]
+
+
 def _copy_rows(
     dst: np.ndarray,
     src: np.ndarray,
@@ -166,21 +188,14 @@ def _copy_rows(
 ) -> np.ndarray:
     """Slot-copy events from row ``source[i]`` of ``src`` to row ``learner[i]`` of ``dst``.
 
-    Row ``i`` of ``u`` holds event ``i``'s (need, slot, coin) uniforms, read
-    through one transposed copy as three contiguous rows.  An event copies
-    only if its coin is below ``p`` (a scalar or one value per event).  The
-    coins do not depend on the state, so only events that pass one reach
-    :func:`_apply_copies`.  Returns the positions of the events that copied.
+    Row ``i`` of ``u`` holds event ``i``'s (need, slot, coin) uniforms.  The
+    slot gives the event's cell in either row, and :func:`_copy_cells` tests
+    the coin against ``p``.  Returns the positions of the events that copied.
     """
-    need, slot, coin = u.T.copy()
-    hit = np.flatnonzero(coin < p)
-    if len(hit) < len(coin):
-        need, slot, learner, source = need[hit], slot[hit], learner[hit], source[hit]
-    flat = _flat_slots(schema, need, slot)
+    flat = _flat_slots(schema, u[:, 0], u[:, 1])
     S = schema.total_slots
-    dst_idx = learner * S + flat
-    src_idx = source * S + flat
-    return hit[_apply_copies(dst.reshape(-1), src.reshape(-1), dst_idx, src_idx)]
+    return _copy_cells(dst.reshape(-1), src.reshape(-1), learner * S + flat, source * S + flat,
+                       u[:, 2], p)
 
 
 def _draw_pupils(leaders: tuple[int, ...], K: int, u: np.ndarray) -> np.ndarray:
@@ -267,14 +282,6 @@ def shop_step(
                           brand_ids, u[:, 1:], params.p_copy, pop.schema))
 
 
-def _picks(u_first: np.ndarray, u_partner: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair event's first pick over K and its partner, one of the K-1 others."""
-    a = index_from_uniform(u_first, K)
-    b = index_from_uniform(u_partner, K - 1)
-    b += b >= a  # the partner is one of the K-1 others
-    return a, b
-
-
 #: the most uniforms a pair-only sweep draws at once, for itself and the sweeps after it.
 #: A K=50 sweep (2-vCPU Xeon, medians of 25 interleaved runs of 4000 sweeps) took 20.0 µs
 #: at 2**11, 19.3 at 2**12, 18.4 at 2**13, 17.7 at 2**14 and 17.8 at 2**16.
@@ -296,26 +303,26 @@ class _PairsAhead:
                  "sweeps", "taken")
 
     def __init__(self, rng: np.random.Generator, sweeps: int, K: int, schema: NeedSchema):
-        bg = rng.bit_generator
-        start = bg.state
         u = rng.random((sweeps * K, 5))
-        bg.state = start
-        self.first, self.partner = _picks(u[:, 0], u[:, 1], K)
+        a = index_from_uniform(u[:, 0], K)
+        b = index_from_uniform(u[:, 1], K - 1)
+        b += b >= a  # the partner is one of the K-1 others
         flat = _flat_slots(schema, u[:, 2], u[:, 3])
         S = schema.total_slots
-        self.first_cell = self.first * S + flat
-        self.partner_cell = self.partner * S + flat
+        self.first, self.partner = a, b
+        self.first_cell = a * S + flat
+        self.partner_cell = b * S + flat
         self.coin = u[:, 4].copy()
-        self.rng, self.state, self.sweeps, self.taken = rng, start, sweeps, 0
+        self.rng, self.sweeps, self.taken = rng, sweeps, 0
 
 
 def _sweeps_ahead(pop: Population, params: SimConfig, bg: np.random.BitGenerator) -> int:
     """How many sweeps' pair events to draw at once: ``_AHEAD // 5K``, or 1.
 
-    A block needs a sweep that draws nothing but its 5K pair uniforms, from a
-    ``PCG64`` with no buffered 32-bit value (``has_uint32``): only then does
-    ``advance`` leave the state that drawing leaves, as it clears that value
-    and drawing doubles keeps it.
+    More than one needs a sweep that draws nothing but its 5K pair uniforms,
+    from a ``PCG64`` with no buffered 32-bit value (``has_uint32``): only then
+    does ``advance`` leave the state that drawing leaves, as it clears that
+    value and drawing doubles keeps it.
     """
     sweeps = _AHEAD // (5 * pop.num_customers)
     rate = params.shop_teach_rate
@@ -332,17 +339,19 @@ def _sweeps_ahead(pop: Population, params: SimConfig, bg: np.random.BitGenerator
 
 def _pairs_ahead(
     pop: Population, params: SimConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """This sweep's first picks, partners, their cells and the coins from the
-    run's drawn-ahead block, with ``rng`` advanced past the sweep's 5K
-    uniforms; or None, with ``rng`` untouched, when the sweep is to draw its own.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """This sweep's first picks, partners, their cells and the coins, with ``rng``
+    moved past the sweep's 5K uniforms, from a block of ``_sweeps_ahead`` sweeps.
 
-    A block is used only by the generator it was drawn from, and only while
-    that generator is in the state the block left it in; any other draw from
-    the stream drops it.
+    A one-sweep block is drawn where the generator stands and not kept.  A
+    longer one is drawn, the generator rewound, and advanced 5K uniforms per
+    sweep taken.  It is used only by the generator it was drawn from, and only
+    while that generator is in the state the block left it in; any other draw
+    from the stream drops it.
     """
     block = pop._pairs_ahead
     bg = rng.bit_generator
+    K = pop.num_customers
     if (
         block is None
         or block.rng is not rng
@@ -352,9 +361,11 @@ def _pairs_ahead(
         sweeps = _sweeps_ahead(pop, params, bg)
         if sweeps == 1:
             pop._pairs_ahead = None
-            return None
-        block = pop._pairs_ahead = _PairsAhead(rng, sweeps, pop.num_customers, pop.schema)
-    K = pop.num_customers
+            block = _PairsAhead(rng, 1, K, pop.schema)
+            return block.first, block.partner, block.first_cell, block.partner_cell, block.coin
+        start = bg.state
+        block = pop._pairs_ahead = _PairsAhead(rng, sweeps, K, pop.schema)
+        bg.state = start
     i = block.taken * K
     block.taken += 1
     bg.advance(5 * K)
@@ -382,45 +393,26 @@ def sweep(
     them, and ``t`` increments.  When ``event_log`` is a list, one
     :class:`PairEvent` per pair event is appended to it.
     """
-    K = pop.num_customers
-    ahead = _pairs_ahead(pop, params, rng)
-    if ahead is None:
-        u = rng.random((K, 5))
-        a, b = _picks(u[:, 0], u[:, 1], K)
-    else:
-        a, b, dst, src, coin = ahead
+    a, b, dst, src, coin = _pairs_ahead(pop, params, rng)
     if mode is Mode.HIERARCHY:
         ra = pop.ranks[a]
         rb = pop.ranks[b]
         lower = ra < rb
-        learner = np.where(lower, a, b)
-        source = np.where(lower, b, a)
         # ra - rb is exactly -(rb - ra), so this is the rank gap either way round
         p = params.p_copy * np.abs(rb - ra)
-        if ahead is not None:
-            dst, src = np.where(lower, dst, src), np.where(lower, src, dst)
+        dst, src = np.where(lower, dst, src), np.where(lower, src, dst)
     else:
-        learner, source, p = a, b, params.p_copy
-    wish = pop.wish_matrix
-    if ahead is None:
-        # drawn alone, only the events that pass the coin take a slot; a block has
-        # every event's cells already
-        done = _copy_rows(wish, wish, learner, source, u[:, 2:], p, pop.schema)
-    else:
-        w = wish.reshape(-1)
-        if mode is Mode.EQUALITY and p == 1.0:
-            done = _apply_copies(w, w, dst, src)  # every coin is below 1
-        else:
-            hit = np.flatnonzero(coin < p)
-            if len(hit) < K:
-                dst, src = dst[hit], src[hit]
-            done = hit[_apply_copies(w, w, dst, src)]
+        p = params.p_copy
+    w = pop.wish_matrix.reshape(-1)
+    done = _copy_cells(w, w, dst, src, coin, p)
     if event_log is not None:
-        copied = np.zeros(K, dtype=bool)
+        S = pop.schema.total_slots
+        copied = np.zeros(len(a), dtype=bool)
         copied[done] = True
+        # a cell's row is its customer: the learner's and the source's
         event_log.extend(
-            map(PairEvent._make, zip(a.tolist(), b.tolist(), learner.tolist(),
-                                     source.tolist(), copied.tolist()))
+            map(PairEvent._make, zip(a.tolist(), b.tolist(), (dst // S).tolist(),
+                                     (src // S).tolist(), copied.tolist()))
         )
     leader_step(pop, params, rng)
     shop_step(pop, params, rng)

@@ -539,7 +539,7 @@ def kernel_cases(draw):
         p_unknown=draw(st.sampled_from([0.0, 0.9])),
         shop_counts=tuple(draw(st.lists(st.integers(1, 5), min_size=N, max_size=N))),
         params=rates(
-            p_copy=draw(st.floats(0.0, 1.0)),
+            p_copy=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
             leader_pupils=pupils,
             shop_teach_rate=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])),
         ),

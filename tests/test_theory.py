@@ -7,6 +7,16 @@ mean is then a martingale, so each customer's initial value becomes the
 consensus with probability 1/K.  The bound below follows from that law alone,
 and the seed, the run count and the bound were set before the first run.
 
+Backwards in time, the lineages of k customers merge two into one in an event
+with probability k(k-1)/(K(K-1)), the chance that the learner and the source
+are both among them.  So with one slot the events to consensus from K
+distinct values are a sum of geometric times, and the first sweep with every
+row equal is their sum divided by K, rounded up.  An event picks a need, then
+one of its slots, so it picks slot s of need i with probability
+q_s = 1/(M jmax[i]); at K = 2 one event makes its column equal, and a column
+is still unequal after one sweep with probability (1 - q_s)^2.  The seeds,
+run counts and bounds of both checks were set before their first run.
+
 In hierarchy mode with no shops and no unknown wishes, the customers of the
 top rank never learn: a pair copies only from the higher ranked, and leaders
 teach only non-leaders.  So the one state every row can end in is a top-ranked
@@ -25,6 +35,8 @@ sweep t's mean shares are that composition's t-th power applied to it.  The
 seeds, run lengths and bound were set before the first run, the run lengths
 from the spread of a run on another seed.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -50,17 +62,27 @@ T_BOUND = 5.0
 #: independent runs from the start, and the sweeps of each whose shares are read
 FIRST_RUNS = 2000
 FIRST_SWEEPS = 2
+#: runs of one sweep at K = 2, and the bound on each column's z score over them
+SLOT_RUNS = 4000
+Z_BOUND = 5.0
+#: the consensus sweep's law is summed until the chance of a later one is below this
+TAIL = 1e-12
+
+
+def neutral_consensus(K, rng):
+    """A one-slot neutral run, customer k starting at (k + 1) / K, swept to consensus."""
+    pop = Population(NeedSchema((1,)), np.arange(1, K + 1)[:, None] / K, np.zeros(K),
+                     [[1.0]], (1,))
+    params = rates(p_copy=1.0)
+    w = pop.wish_matrix
+    while not (w == w[0]).all():
+        sweep(pop, Mode.EQUALITY, params, rng)
+    return pop
 
 
 def fixation_winner(rng):
-    """The customer whose initial value a one-slot neutral run ends at:
-    customer k starts at (k + 1) / K."""
-    pop = Population(NeedSchema((1,)), np.arange(1, K + 1)[:, None] / K, np.zeros(K),
-                     [[1.0]], (1,))
-    w = pop.wish_matrix
-    while not (w == w[0]).all():
-        sweep(pop, Mode.EQUALITY, rates(p_copy=1.0), rng)
-    return int(round(w[0, 0] * K)) - 1
+    """The customer whose initial value a one-slot neutral run ends at."""
+    return int(round(neutral_consensus(K, rng).wish_matrix[0, 0] * K)) - 1
 
 
 def test_each_initial_value_fixes_with_probability_one_over_k():
@@ -68,6 +90,55 @@ def test_each_initial_value_fixes_with_probability_one_over_k():
     counts = np.bincount([fixation_winner(rng) for _ in range(RUNS)], minlength=K)
     expected = RUNS / K
     assert ((counts - expected) ** 2 / expected).sum() < CHI2_BOUND, counts.tolist()
+
+
+def expected_consensus_sweep(K):
+    """E[ceil(T / K)], T the events to one lineage from K: the law of the lineage count,
+    event by event, gives P(T > mK) for m = 0, 1, ..., and their sum is the mean."""
+    k = np.arange(K + 1)
+    merge = k * (k - 1) / (K * (K - 1))
+    law = np.zeros(K + 1)  # P(k lineages) after n events
+    law[K] = 1.0
+    mean = 0.0
+    for n in itertools.count():
+        if n % K == 0:
+            later = law[2:].sum()  # P(T > n)
+            if later < TAIL:
+                return mean
+            mean += later
+        moved = law * merge
+        law -= moved
+        law[:-1] += moved[1:]
+
+
+# ``exact`` checks the sum itself: the means to four places, as a separate computation gave them
+@pytest.mark.parametrize("K, exact, runs, seed", [
+    (10, 8.55, 4000, SEED + 6),
+    (20, 18.525, 2000, SEED + 7),
+], ids=["k10", "k20"])
+def test_consensus_sweep_follows_the_coalescent(K, exact, runs, seed):
+    mean = expected_consensus_sweep(K)
+    assert round(mean, 4) == exact
+    rng = np.random.default_rng(seed)
+    sweeps = np.array([neutral_consensus(K, rng).t for _ in range(runs)], dtype=float)
+    z = (sweeps.mean() - mean) / (sweeps.std(ddof=1) / np.sqrt(runs))
+    assert abs(z) < Z_BOUND, (z, sweeps.mean())
+
+
+def test_pair_slots_are_drawn_need_first():
+    jmax = (1, 3)
+    S = sum(jmax)
+    params = rates(p_copy=1.0)
+    rng = np.random.default_rng(SEED + 5)
+    unequal = np.zeros(S)
+    for _ in range(SLOT_RUNS):
+        pop = Population(NeedSchema(jmax), np.repeat([[0.25], [0.75]], S, axis=1), np.zeros(2),
+                         np.ones((1, S)), (1,))
+        sweep(pop, Mode.EQUALITY, params, rng)
+        unequal += pop.wish_matrix[0] != pop.wish_matrix[1]
+    still = (1 - slot_rates(jmax)) ** 2  # 0.25 for slot 0, 25/36 for the others
+    z = (unequal - SLOT_RUNS * still) / np.sqrt(SLOT_RUNS * still * (1 - still))
+    assert (np.abs(z) < Z_BOUND).all(), z.tolist()
 
 
 def consensus_row(pop, params, rng):
