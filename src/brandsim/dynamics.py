@@ -33,19 +33,20 @@ operation:
   only marks affiliations stale; the next read recomputes them.
 
 Every sweep takes its pair events (the two picks, the event's cell in either
-one's row, and the coin) from one block layout, ``_PairsAhead``.  The block
-covers one sweep, drawn where the generator stands, when the sweep draws other
-channels too, when two sweeps need more than ``_AHEAD`` uniforms, or when the
-stream is not an ``np.random.PCG64`` free of a buffered 32-bit value.
-Otherwise the next sweeps' pair uniforms follow the sweep's own directly, so
-it draws up to ``_AHEAD`` uniforms at once, rewinds the generator, and moves it on by exactly 5K uniforms
+one's row, and the coin) from one block layout, ``_PairsAhead``.  On an
+``np.random.PCG64`` free of a buffered 32-bit value, the next sweeps' pair
+uniforms follow the sweep's own directly, so a block of several sweeps is drawn
+at once, the generator rewound, and moved on by exactly 5K uniforms
 (``PCG64.advance``; O'Neill 2014, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms"), as each later sweep that
-takes its pair events from the block does.  So the draws per operation above,
-and the generator's state after every sweep, do not change.  A block is used
-only while its generator is in the state the last sweep left; any other draw
-drops it.  Every channel applies its events through one coin rule,
-``_copy_cells``.
+Space-Efficient Statistically Good Algorithms") as each sweep takes its pair
+events from the block.  So the draws per operation above, and the generator's
+state after every sweep, do not change.  A block is used only while the
+generator is in the state the last sweep left.  One used to its end, with
+nothing else drawn from the stream, is followed by one twice as long, up to
+``_AHEAD`` uniforms; any other draw, such as a leader or shop step's, resets
+the next block to one sweep.  On other streams, or when two sweeps need more
+than ``_AHEAD`` uniforms, each sweep draws its own.  Every channel applies its
+events through one coin rule, ``_copy_cells``.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ class _PairsAhead:
     last sweep moved it past its own 5K uniforms.
     """
 
-    __slots__ = ("rng", "state", "first", "partner", "first_cell", "partner_cell", "coin",
+    __slots__ = ("state", "first", "partner", "first_cell", "partner_cell", "coin",
                  "sweeps", "taken")
 
     def __init__(self, rng: np.random.Generator, sweeps: int, K: int, schema: NeedSchema):
@@ -313,59 +314,38 @@ class _PairsAhead:
         self.first_cell = a * S + flat
         self.partner_cell = b * S + flat
         self.coin = u[:, 4].copy()
-        self.rng, self.sweeps, self.taken = rng, sweeps, 0
-
-
-def _sweeps_ahead(pop: Population, params: SimConfig, bg: np.random.BitGenerator) -> int:
-    """How many sweeps' pair events to draw at once: ``_AHEAD // 5K``, or 1.
-
-    More than one needs a sweep that draws nothing but its 5K pair uniforms,
-    from a ``PCG64`` with no buffered 32-bit value (``has_uint32``): only then
-    does ``advance`` leave the state that drawing leaves, as it clears that
-    value and drawing doubles keeps it.
-    """
-    sweeps = _AHEAD // (5 * pop.num_customers)
-    rate = params.shop_teach_rate
-    if (
-        sweeps < 2
-        or type(bg) is not np.random.PCG64
-        or (pop.leader_ids and params.leader_pupils)
-        or any(shop_event_count(rate, s) for s in pop.shop_counts)
-        or bg.state["has_uint32"]
-    ):
-        return 1
-    return sweeps
+        self.sweeps, self.taken = sweeps, 0
 
 
 def _pairs_ahead(
-    pop: Population, params: SimConfig, rng: np.random.Generator
+    pop: Population, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """This sweep's first picks, partners, their cells and the coins, with ``rng``
-    moved past the sweep's 5K uniforms, from a block of ``_sweeps_ahead`` sweeps.
+    moved past the sweep's 5K uniforms.
 
-    A one-sweep block is drawn where the generator stands and not kept.  A
-    longer one is drawn, the generator rewound, and advanced 5K uniforms per
-    sweep taken.  It is used only by the generator it was drawn from, and only
-    while that generator is in the state the block left it in; any other draw
-    from the stream drops it.
+    A kept block is drawn, the generator rewound, and advanced 5K uniforms per
+    sweep taken.  That needs a ``PCG64`` with no buffered 32-bit value
+    (``has_uint32``): only then does ``advance`` leave the state that drawing
+    leaves, as it clears that value and drawing doubles keeps it.  Otherwise,
+    or when two sweeps need more than ``_AHEAD`` uniforms, a one-sweep block is
+    drawn where the generator stands and not kept.  A block is used only while
+    the generator is in the state its last sweep left: equal states draw equal
+    uniforms.  A block used to its end is followed by one twice as long, up to
+    ``_AHEAD // 5K`` sweeps; after any other draw from the stream the next
+    block covers one sweep.
     """
-    block = pop._pairs_ahead
-    bg = rng.bit_generator
     K = pop.num_customers
-    if (
-        block is None
-        or block.rng is not rng
-        or block.taken == block.sweeps
-        or bg.state != block.state
-    ):
-        sweeps = _sweeps_ahead(pop, params, bg)
-        if sweeps == 1:
-            pop._pairs_ahead = None
-            block = _PairsAhead(rng, 1, K, pop.schema)
-            return block.first, block.partner, block.first_cell, block.partner_cell, block.coin
-        start = bg.state
+    most = _AHEAD // (5 * K)
+    bg = rng.bit_generator
+    if most < 2 or type(bg) is not np.random.PCG64 or (state := bg.state)["has_uint32"]:
+        block = _PairsAhead(rng, 1, K, pop.schema)
+        return block.first, block.partner, block.first_cell, block.partner_cell, block.coin
+    block = pop._pairs_ahead
+    fresh = block is None or state != block.state
+    if fresh or block.taken == block.sweeps:
+        sweeps = 1 if fresh else min(2 * block.sweeps, most)
         block = pop._pairs_ahead = _PairsAhead(rng, sweeps, K, pop.schema)
-        bg.state = start
+        bg.state = state
     i = block.taken * K
     block.taken += 1
     bg.advance(5 * K)
@@ -393,7 +373,7 @@ def sweep(
     them, and ``t`` increments.  When ``event_log`` is a list, one
     :class:`PairEvent` per pair event is appended to it.
     """
-    a, b, dst, src, coin = _pairs_ahead(pop, params, rng)
+    a, b, dst, src, coin = _pairs_ahead(pop, rng)
     if mode is Mode.HIERARCHY:
         ra = pop.ranks[a]
         rb = pop.ranks[b]

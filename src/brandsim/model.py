@@ -131,7 +131,8 @@ class Population:
         self.ranks = rank_arr
         self.leader_ids = tuple(np.flatnonzero(rank_arr == 1.0).tolist())
         self._affiliations: np.ndarray | None = None
-        # pair draws taken ahead for later sweeps; set and read by brandsim.dynamics alone
+        # pair draws taken ahead for later sweeps, valid while the generator stands where
+        # the last sweep left it; set and read by brandsim.dynamics alone
         self._pairs_ahead: object | None = None
 
     @property

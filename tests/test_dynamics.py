@@ -668,11 +668,12 @@ class TestDrawAhead:
 
     K = 50
     PARAMS = rates(p_copy=0.7)
-    BLOCK = _AHEAD // (5 * K)  # sweeps per block at K=50
+    BLOCK = _AHEAD // (5 * K)  # the longest block at K=50, in sweeps
 
-    def populations(self, seed):
-        pop = make_population(np.random.default_rng(seed), K=self.K, N=3, jmax=(2, 3, 1))
-        assert not pop.leader_ids
+    def populations(self, seed, ranks=None):
+        pop = make_population(np.random.default_rng(seed), K=self.K, N=3, jmax=(2, 3, 1),
+                              ranks=ranks)
+        assert ranks is not None or not pop.leader_ids
         return pop, copy.deepcopy(pop)
 
     def step(self, pop, ref, mode, rng, ref_rng, params=PARAMS):
@@ -689,25 +690,42 @@ class TestDrawAhead:
     def test_run_across_refills_matches_reference(self, mode, p_copy):
         pop, ref = self.populations(30)
         rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        lengths = [min(2**i, self.BLOCK) for i in range(10)]  # 1, 2, 4, ..., 64, then 65 x 3
         blocks = [None]
-        for _ in range(2 * self.BLOCK + 3):
+        for _ in range(sum(lengths) - self.BLOCK + 3):  # 3 sweeps into the last block
             self.step(pop, ref, mode, rng, ref_rng, rates(p_copy=p_copy))
             if pop._pairs_ahead is not blocks[-1]:
                 blocks.append(pop._pairs_ahead)
-        assert len(blocks) == 4 and None not in blocks[1:]  # two refills after the first
+        assert [block.sweeps for block in blocks[1:]] == lengths
         assert np.array_equal(pop.affiliations, ref.affiliations)
 
     def test_draw_between_sweeps_drops_the_block(self):
         pop, ref = self.populations(32)
         rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
-        for _ in range(3):
+        for _ in range(4):  # blocks of 1 and 2 sweeps, then the first of 4
             self.step(pop, ref, Mode.EQUALITY, rng, ref_rng)
         block = pop._pairs_ahead
-        assert block is not None and block.taken < block.sweeps
+        assert block.sweeps == 4 and block.taken == 1
         assert rng.random() == ref_rng.random()
-        for _ in range(3):
+        self.step(pop, ref, Mode.EQUALITY, rng, ref_rng)
+        assert pop._pairs_ahead is not block and pop._pairs_ahead.sweeps == 1
+        for _ in range(2):
             self.step(pop, ref, Mode.EQUALITY, rng, ref_rng)
-        assert pop._pairs_ahead is not block
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_sweeps_with_other_draws_keep_one_sweep_blocks(self, mode):
+        # the leader or shop step draws after the pairs, so no block outlives its sweep
+        if mode is Mode.HIERARCHY:
+            ranks = np.random.default_rng(39).random(self.K) * 0.9
+            ranks[7] = 1.0  # one leader
+            params = rates(p_copy=0.7, leader_pupils=5)
+        else:
+            ranks, params = None, rates(p_copy=0.7, shop_teach_rate=1.0)
+        pop, ref = self.populations(40, ranks)
+        rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(20):
+            self.step(pop, ref, mode, rng, ref_rng, params)
+            assert pop._pairs_ahead.sweeps == 1
 
     def test_alternating_generators_match_reference(self):
         pop, ref = self.populations(34)

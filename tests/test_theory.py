@@ -17,6 +17,14 @@ q_s = 1/(M jmax[i]); at K = 2 one event makes its column equal, and a column
 is still unequal after one sweep with probability (1 - q_s)^2.  The seeds,
 run counts and bounds of both checks were set before their first run.
 
+An unknown (0) wish never transmits.  In one column, let n be the number of
+known cells and m_v the count of value v.  An event between two known cells
+raises m_v exactly as often as it lowers it, one from a known source into an
+unknown cell raises n and that source's m_v together, and one from an unknown
+source does nothing.  So m_v/n is a martingale, and as consensus has n = K,
+value v fixes with probability m_v(0)/n(0), its share of the known cells, not
+of all K.  Its seed, run count and bound were set before its first run.
+
 In hierarchy mode with no shops and no unknown wishes, the customers of the
 top rank never learn: a pair copies only from the higher ranked, and leaders
 teach only non-leaders.  So the one state every row can end in is a top-ranked
@@ -69,15 +77,21 @@ Z_BOUND = 5.0
 TAIL = 1e-12
 
 
-def neutral_consensus(K, rng):
-    """A one-slot neutral run, customer k starting at (k + 1) / K, swept to consensus."""
-    pop = Population(NeedSchema((1,)), np.arange(1, K + 1)[:, None] / K, np.zeros(K),
-                     [[1.0]], (1,))
+def column_consensus(start, rng):
+    """A one-slot equality run, customer k starting at ``start[k]``, swept to consensus."""
+    K = len(start)
+    # a copy, as the run writes into its wishes
+    pop = Population(NeedSchema((1,)), np.array(start)[:, None], np.zeros(K), [[1.0]], (1,))
     params = rates(p_copy=1.0)
     w = pop.wish_matrix
     while not (w == w[0]).all():
         sweep(pop, Mode.EQUALITY, params, rng)
     return pop
+
+
+def neutral_consensus(K, rng):
+    """A one-slot neutral run, customer k starting at (k + 1) / K, swept to consensus."""
+    return column_consensus(np.arange(1, K + 1) / K, rng)
 
 
 def fixation_winner(rng):
@@ -90,6 +104,19 @@ def test_each_initial_value_fixes_with_probability_one_over_k():
     counts = np.bincount([fixation_winner(rng) for _ in range(RUNS)], minlength=K)
     expected = RUNS / K
     assert ((counts - expected) ** 2 / expected).sum() < CHI2_BOUND, counts.tolist()
+
+
+def test_known_values_fix_by_their_share_of_the_known_cells():
+    # 0.25, 0.5 and 0.75 hold 3, 2 and 2 of the 7 known cells; 3 cells are unknown
+    values = np.array([0.25, 0.5, 0.75])
+    start = np.repeat(np.append(values, 0.0), [3, 2, 2, 3])
+    share = np.array([3, 2, 2]) / 7
+    rng = np.random.default_rng(SEED + 8)
+    wins = np.zeros(len(values))
+    for _ in range(RUNS):
+        wins += values == column_consensus(start, rng).wish_matrix[0, 0]
+    z = (wins - RUNS * share) / np.sqrt(RUNS * share * (1 - share))
+    assert (np.abs(z) < Z_BOUND).all(), (z.tolist(), wins.tolist())
 
 
 def expected_consensus_sweep(K):
