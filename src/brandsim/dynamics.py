@@ -32,12 +32,17 @@ operation:
   an affiliation refresh (no draws) and the time increment.  The refresh
   only marks affiliations stale; the next read recomputes them.
 
+Every channel builds its events' cells with one rule, ``_slot_cells``: the
+slot is drawn need-first and is the same in the learner's row and the
+source's.  Every channel applies its events through one coin rule,
+``_copy_cells``.
+
 Every sweep takes its pair events (the two picks, the event's cell in either
 one's row, and the coin) from one block layout, ``_PairsAhead``.  On an
-``np.random.PCG64`` free of a buffered 32-bit value, the next sweeps' pair
-uniforms follow the sweep's own directly, so a block of several sweeps is drawn
-at once, the generator rewound, and moved on by exactly 5K uniforms
-(``PCG64.advance``; O'Neill 2014, "PCG: A Family of Simple Fast
+``np.random.PCG64`` that holds no 32-bit value, buffered or spent, the next
+sweeps' pair uniforms follow the sweep's own directly, so a block of several
+sweeps is drawn at once, the generator rewound, and moved on by exactly 5K
+uniforms (``PCG64.advance``; O'Neill 2014, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms") as each sweep takes its pair
 events from the block.  So the draws per operation above, and the generator's
 state after every sweep, do not change.  A block is used only while the
@@ -45,8 +50,7 @@ generator is in the state the last sweep left.  One used to its end, with
 nothing else drawn from the stream, is followed by one twice as long, up to
 ``_AHEAD`` uniforms; any other draw, such as a leader or shop step's, resets
 the next block to one sweep.  On other streams, or when two sweeps need more
-than ``_AHEAD`` uniforms, each sweep draws its own.  Every channel applies its
-events through one coin rule, ``_copy_cells``.
+than ``_AHEAD`` uniforms, each sweep draws its own.
 """
 
 from __future__ import annotations
@@ -69,11 +73,20 @@ class PairEvent(NamedTuple):
     copied: bool
 
 
-def _flat_slots(schema: NeedSchema, u_need: np.ndarray, u_slot: np.ndarray) -> np.ndarray:
-    """Each event's flat slot, drawn need-first as ``index_from_uniform`` does."""
+def _slot_cells(
+    schema: NeedSchema, learners: np.ndarray, sources: np.ndarray,
+    u_need: np.ndarray, u_slot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's cell in its learner's and in its source's row of a flat matrix.
+
+    The event's slot is drawn need-first, as ``index_from_uniform`` picks an
+    index, and is the same in both rows.
+    """
     jmax, offsets = schema.slot_tables
     need = index_from_uniform(u_need, schema.num_needs)
-    return offsets[need] + index_from_uniform(u_slot, jmax[need])
+    flat = offsets[need] + index_from_uniform(u_slot, jmax[need])
+    S = schema.total_slots
+    return learners * S + flat, sources * S + flat
 
 
 def _divmod(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,27 +191,6 @@ def _copy_cells(
     return hit[_apply_copies(dst, src, dst_cell, src_cell)]
 
 
-def _copy_rows(
-    dst: np.ndarray,
-    src: np.ndarray,
-    learner: np.ndarray,
-    source: np.ndarray,
-    u: np.ndarray,
-    p: float | np.ndarray,
-    schema: NeedSchema,
-) -> np.ndarray:
-    """Slot-copy events from row ``source[i]`` of ``src`` to row ``learner[i]`` of ``dst``.
-
-    Row ``i`` of ``u`` holds event ``i``'s (need, slot, coin) uniforms.  The
-    slot gives the event's cell in either row, and :func:`_copy_cells` tests
-    the coin against ``p``.  Returns the positions of the events that copied.
-    """
-    flat = _flat_slots(schema, u[:, 0], u[:, 1])
-    S = schema.total_slots
-    return _copy_cells(dst.reshape(-1), src.reshape(-1), learner * S + flat, source * S + flat,
-                       u[:, 2], p)
-
-
 def _draw_pupils(leaders: tuple[int, ...], K: int, u: np.ndarray) -> np.ndarray:
     """The pupil ids that row ``l`` of ``u`` selects, for every row, flat.
 
@@ -252,11 +244,13 @@ def leader_step(
         raise ConfigurationError(f"leader_pupils={pupils} exceeds the {K - L} non-leaders")
     # each leader's row: its selection uniforms, then its teaching triples
     u = rng.random((L, 4 * pupils))
+    triples = u[:, pupils:].reshape(-1, 3)
+    dst, src = _slot_cells(pop.schema, _draw_pupils(leaders, K, u[:, :pupils]),
+                           np.repeat(np.arange(L), pupils), triples[:, 0], triples[:, 1])
     wish = pop.wish_matrix
     # leaders never learn here, so their gathered rows are a disjoint source
-    return len(_copy_rows(wish, wish[list(leaders)], _draw_pupils(leaders, K, u[:, :pupils]),
-                          np.repeat(np.arange(L), pupils),
-                          u[:, pupils:].reshape(-1, 3), params.p_copy, pop.schema))
+    return len(_copy_cells(wish.reshape(-1), wish[list(leaders)].reshape(-1), dst, src,
+                           triples[:, 2], params.p_copy))
 
 
 def shop_step(
@@ -279,8 +273,9 @@ def shop_step(
     u = rng.random((sum(counts), 4))
     customers = index_from_uniform(u[:, 0], pop.num_customers)
     brand_ids = np.repeat(np.arange(len(counts)), counts)
-    return len(_copy_rows(pop.wish_matrix, pop.assortment_matrix, customers,
-                          brand_ids, u[:, 1:], params.p_copy, pop.schema))
+    dst, src = _slot_cells(pop.schema, customers, brand_ids, u[:, 1], u[:, 2])
+    return len(_copy_cells(pop.wish_matrix.reshape(-1), pop.assortment_matrix.reshape(-1),
+                           dst, src, u[:, 3], params.p_copy))
 
 
 #: the most uniforms a pair-only sweep draws at once, for itself and the sweeps after it.
@@ -308,11 +303,8 @@ class _PairsAhead:
         a = index_from_uniform(u[:, 0], K)
         b = index_from_uniform(u[:, 1], K - 1)
         b += b >= a  # the partner is one of the K-1 others
-        flat = _flat_slots(schema, u[:, 2], u[:, 3])
-        S = schema.total_slots
         self.first, self.partner = a, b
-        self.first_cell = a * S + flat
-        self.partner_cell = b * S + flat
+        self.first_cell, self.partner_cell = _slot_cells(schema, a, b, u[:, 2], u[:, 3])
         self.coin = u[:, 4].copy()
         self.sweeps, self.taken = sweeps, 0
 
@@ -324,20 +316,21 @@ def _pairs_ahead(
     moved past the sweep's 5K uniforms.
 
     A kept block is drawn, the generator rewound, and advanced 5K uniforms per
-    sweep taken.  That needs a ``PCG64`` with no buffered 32-bit value
-    (``has_uint32``): only then does ``advance`` leave the state that drawing
-    leaves, as it clears that value and drawing doubles keeps it.  Otherwise,
-    or when two sweeps need more than ``_AHEAD`` uniforms, a one-sweep block is
-    drawn where the generator stands and not kept.  A block is used only while
-    the generator is in the state its last sweep left: equal states draw equal
-    uniforms.  A block used to its end is followed by one twice as long, up to
-    ``_AHEAD // 5K`` sweeps; after any other draw from the stream the next
-    block covers one sweep.
+    sweep taken.  That needs a ``PCG64`` that holds no 32-bit value, buffered
+    (``has_uint32``) or spent (``uinteger``): only then does ``advance`` leave
+    the state that drawing leaves, as it clears both and drawing doubles keeps
+    both.  Otherwise, or when two sweeps need more than ``_AHEAD`` uniforms, a
+    one-sweep block is drawn where the generator stands and not kept.  A block
+    is used only while the generator is in the state its last sweep left:
+    equal states draw equal uniforms.  A block used to its end is followed by
+    one twice as long, up to ``_AHEAD // 5K`` sweeps; after any other draw from
+    the stream the next block covers one sweep.
     """
     K = pop.num_customers
     most = _AHEAD // (5 * K)
     bg = rng.bit_generator
-    if most < 2 or type(bg) is not np.random.PCG64 or (state := bg.state)["has_uint32"]:
+    if (most < 2 or type(bg) is not np.random.PCG64
+            or (state := bg.state)["has_uint32"] or state["uinteger"]):
         block = _PairsAhead(rng, 1, K, pop.schema)
         return block.first, block.partner, block.first_cell, block.partner_cell, block.coin
     block = pop._pairs_ahead

@@ -271,13 +271,14 @@ class TestDrawPupils:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), L=st.integers(1, 6), n=st.integers(1, 60))
     def test_matches_list_swap_loop(self, data, L, n):
-        # the extreme uniforms pick the current step and the last position
         pupils = data.draw(st.one_of(st.just(n), st.integers(1, n)))
         leaders = tuple(sorted(data.draw(st.permutations(range(n + L)))[:L]))
-        uniform = st.one_of(st.sampled_from([0.0, np.nextafter(1.0, 0.0)]),
-                            st.floats(0.0, 1.0, exclude_max=True))
-        u = np.array(data.draw(st.lists(uniform, min_size=L * pupils,
-                                        max_size=L * pupils))).reshape(L, pupils)
+        # numpy draws the uniforms from a drawn seed, and a drawn share of them is set to
+        # an extreme, which picks the current step or the last position
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = rng.random((L, pupils))
+        ends = rng.random((L, pupils)) < data.draw(st.sampled_from([0.0, 0.2, 0.6]))
+        u[ends] = np.where(rng.random(ends.sum()) < 0.5, 0.0, np.nextafter(1.0, 0.0))
         got = _draw_pupils(leaders, n + L, u)
         pool = [k for k in range(n + L) if k not in leaders]
         assert got.tolist() == [k for row in u.tolist() for k in ref_draw_pupils(pool, row)]
@@ -736,16 +737,26 @@ class TestDrawAhead:
         for rng, ref_rng in zip(rngs, ref_rngs):
             assert stream_state(rng) == stream_state(ref_rng)
 
-    @pytest.mark.parametrize("stream", ["mt19937", "pcg64_buffered_uint32"])
+    @pytest.mark.parametrize("stream", ["mt19937", "pcg64_buffered_uint32",
+                                        "pcg64_spent_uint32"])
     def test_other_streams_draw_sweep_by_sweep(self, stream):
         pop, ref = self.populations(37)
         if stream == "mt19937":
             rng, ref_rng = (np.random.Generator(np.random.MT19937(38)) for _ in range(2))
-        else:
+        elif stream == "pcg64_buffered_uint32":
             rng, ref_rng = np.random.default_rng(38), np.random.default_rng(38)
             for g in (rng, ref_rng):
                 g.integers(0, 10, dtype=np.int32)  # leaves half of a 64-bit draw buffered
             assert rng.bit_generator.state["has_uint32"] == 1
+        else:
+            rng, ref_rng = np.random.default_rng(38), np.random.default_rng(38)
+            for g in (rng, ref_rng):
+                # the second draw spends the buffered half, whose value stays in the
+                # state; advance would clear it and drawing doubles keeps it
+                g.integers(0, 10, dtype=np.int32)
+                g.integers(0, 10, dtype=np.int32)
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 0 and state["uinteger"] != 0
         for _ in range(self.BLOCK + 2):
             self.step(pop, ref, Mode.EQUALITY, rng, ref_rng)
         # the buffered value is still there to be drawn, as drawing doubles keeps it

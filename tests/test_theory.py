@@ -23,7 +23,13 @@ raises m_v exactly as often as it lowers it, one from a known source into an
 unknown cell raises n and that source's m_v together, and one from an unknown
 source does nothing.  So m_v/n is a martingale, and as consensus has n = K,
 value v fixes with probability m_v(0)/n(0), its share of the known cells, not
-of all K.  Its seed, run count and bound were set before its first run.
+of all K.  The martingale holds event by event, so at every sweep the mean of
+m_v/n over runs is m_v(0)/n(0); at K >= 256 every sweep's pair batch takes the
+numpy path of the copy, with its replay of reads that follow a write in the
+same batch.  With one slot, n itself is a birth chain whatever the values: an
+event raises it by one exactly when its learner is unknown and its source
+known, with probability n(K - n)/(K(K - 1)).  The seeds, run counts and bound
+of both checks were set before their first run.
 
 In hierarchy mode with no shops and no unknown wishes, the customers of the
 top rank never learn: a pair copies only from the higher ranked, and leaders
@@ -75,13 +81,22 @@ SLOT_RUNS = 4000
 Z_BOUND = 5.0
 #: the consensus sweep's law is summed until the chance of a later one is below this
 TAIL = 1e-12
+#: customers of the numpy-path vacancy check, its runs, and the sweeps of each that are read
+VACANCY_K = 300
+VACANCY_RUNS = 1500
+VACANCY_SWEEPS = 3
+
+
+def column_population(start):
+    """A one-slot population, customer k wishing ``start[k]``, every rank 0 and one brand."""
+    K = len(start)
+    # a copy, as the run writes into its wishes
+    return Population(NeedSchema((1,)), np.array(start)[:, None], np.zeros(K), [[1.0]], (1,))
 
 
 def column_consensus(start, rng):
     """A one-slot equality run, customer k starting at ``start[k]``, swept to consensus."""
-    K = len(start)
-    # a copy, as the run writes into its wishes
-    pop = Population(NeedSchema((1,)), np.array(start)[:, None], np.zeros(K), [[1.0]], (1,))
+    pop = column_population(start)
     params = rates(p_copy=1.0)
     w = pop.wish_matrix
     while not (w == w[0]).all():
@@ -117,6 +132,49 @@ def test_known_values_fix_by_their_share_of_the_known_cells():
         wins += values == column_consensus(start, rng).wish_matrix[0, 0]
     z = (wins - RUNS * share) / np.sqrt(RUNS * share * (1 - share))
     assert (np.abs(z) < Z_BOUND).all(), (z.tolist(), wins.tolist())
+
+
+def known_count_law(K, n, sweeps):
+    """The law of the known count after each of ``sweeps`` one-slot sweeps from ``n``
+    known cells, event by event: the count rises by one with n(K - n)/(K(K - 1))."""
+    k = np.arange(K + 1)
+    rise = k * (K - k) / (K * (K - 1))
+    law = np.zeros(K + 1)
+    law[n] = 1.0
+    laws = []
+    for _ in range(sweeps):
+        for _ in range(K):
+            moved = law * rise
+            law -= moved
+            law[1:] += moved[:-1]
+        laws.append(law.copy())
+    return np.array(laws)
+
+
+def test_known_shares_keep_their_mean_on_the_numpy_path():
+    # a third of the cells unknown; 0.25, 0.5 and 0.75 hold 100, 60 and 40 of the rest
+    values = np.array([0.25, 0.5, 0.75])
+    counts = np.array([100, 60, 40])
+    start = np.repeat(np.append(values, 0.0), np.append(counts, VACANCY_K - counts.sum()))
+    params = rates(p_copy=1.0)
+    rng = np.random.default_rng(SEED + 9)
+    known = np.zeros((VACANCY_RUNS, VACANCY_SWEEPS))
+    shares = np.zeros((VACANCY_RUNS, VACANCY_SWEEPS, len(values)))
+    for run in range(VACANCY_RUNS):
+        pop = column_population(start)
+        w = pop.wish_matrix[:, 0]
+        for t in range(VACANCY_SWEEPS):
+            sweep(pop, Mode.EQUALITY, params, rng)
+            known[run, t] = np.count_nonzero(w)
+            shares[run, t] = (w == values[:, None]).sum(axis=1) / known[run, t]
+    t = t_statistics(shares, counts / counts.sum())
+    assert (np.abs(t) < Z_BOUND).all(), (t.tolist(), shares.mean(axis=0).tolist())
+    law = known_count_law(VACANCY_K, counts.sum(), VACANCY_SWEEPS)
+    k = np.arange(VACANCY_K + 1)
+    mean = law @ k
+    sd = np.sqrt(law @ k**2 - mean**2)
+    z = (known.mean(axis=0) - mean) / (sd / np.sqrt(VACANCY_RUNS))
+    assert (np.abs(z) < Z_BOUND).all(), (z.tolist(), known.mean(axis=0).tolist(), mean.tolist())
 
 
 def expected_consensus_sweep(K):
